@@ -15,7 +15,7 @@ from repro.bags.bag import BagSet
 from repro.core.diverse_density import DiverseDensityTrainer, TrainerConfig
 from repro.core.emdd import EMDDConfig, EMDDTrainer
 from repro.core.feedback import select_examples
-from repro.core.retrieval import RetrievalEngine
+from repro.core.retrieval import Ranker
 from repro.database.splits import split_database
 from repro.eval.metrics import average_precision
 from repro.eval.reporting import ascii_table
@@ -56,12 +56,12 @@ def test_emdd_vs_dd(benchmark, report, scale):
             )
         ).train(bag_set)
 
-        engine = RetrievalEngine()
+        ranker = Ranker()
         examples = set(selection.positive_ids) | set(selection.negative_ids)
-        candidates = database.retrieval_candidates(split.test_ids)
+        candidates = database.packed(split.test_ids)
         rows = {}
         for label, training in (("DD (noisy-or)", dd_result), ("EM-DD", emdd_result)):
-            ranking = engine.rank(training.concept, candidates, exclude=examples)
+            ranking = ranker.rank(training.concept, candidates, exclude=examples)
             rows[label] = (
                 average_precision(ranking.relevance("waterfall")),
                 training.elapsed_seconds,

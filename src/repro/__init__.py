@@ -91,11 +91,9 @@ from repro.core.retrieval import (
     PackedCorpus,
     RankedImage,
     Ranker,
-    RetrievalEngine,
     RetrievalResult,
 )
 from repro.core.schemes import WeightScheme, make_scheme
-from repro.database.index import StackedIndex
 from repro.database.persistence import load_database, save_database
 from repro.database.store import ImageDatabase
 from repro.database.splits import DatabaseSplit, split_database
@@ -141,11 +139,9 @@ __all__ = [
     "PackedCorpus",
     "RankedImage",
     "Ranker",
-    "RetrievalEngine",
     "RetrievalResult",
     "WeightScheme",
     "make_scheme",
-    "StackedIndex",
     "ImageDatabase",
     "DatabaseSplit",
     "split_database",

@@ -39,7 +39,6 @@ from repro.core.cache import CacheStats, ConceptCache
 from repro.core.feedback import Corpus
 from repro.core.retrieval import (
     AUTO_SHARD_MIN_BAGS,
-    RANK_MODES,
     PackedCorpus,
     RetrievalResult,
     packed_view,
@@ -99,12 +98,6 @@ class RetrievalService:
             (:mod:`repro.core.sharding`); rankings are identical either
             way, so this is purely a performance knob.
         rank_shards: pin the index's shard count (``None`` = automatic).
-        rank_mode: ``"exact"`` (default — bound-pruned, ordering-identical
-            ranking) or ``"approx"`` (``top_k`` queries route through the
-            hash-coded coarse tier, :mod:`repro.index.ann`, trading a
-            measured recall@k for speed).  Stamped onto every packed view
-            the service serves; per-request overrides ride the
-            :class:`~repro.api.query.Query`.
         reorder_bags: re-pack the database's corpus in clustered-centroid
             order at warm time
             (:meth:`~repro.core.retrieval.PackedCorpus.reordered_by_centroid`
@@ -119,17 +112,12 @@ class RetrievalService:
         max_history: int | None = 1000,
         rank_index: bool = True,
         rank_shards: int | None = None,
-        rank_mode: str = "exact",
         reorder_bags: bool = False,
     ) -> None:
         if max_history is not None and max_history < 0:
             raise QueryError(f"max_history must be >= 0 or None, got {max_history}")
         if rank_shards is not None and rank_shards < 1:
             raise QueryError(f"rank_shards must be >= 1 or None, got {rank_shards}")
-        if rank_mode not in RANK_MODES:
-            raise QueryError(
-                f"rank_mode must be one of {RANK_MODES}, got {rank_mode!r}"
-            )
         self._database = database
         self._corpora: dict[str, Corpus] = {"region-bags": database}
         self._lock = threading.Lock()
@@ -139,7 +127,6 @@ class RetrievalService:
         self._cache = ConceptCache(cache_size) if cache_size else None
         self._rank_index = bool(rank_index)
         self._rank_shards = rank_shards
-        self._rank_mode = rank_mode
         self._reorder_bags = bool(reorder_bags)
 
     @property
@@ -170,11 +157,6 @@ class RetrievalService:
         return self._rank_shards
 
     @property
-    def rank_mode(self) -> str:
-        """The serving rank mode (:data:`~repro.core.retrieval.RANK_MODES`)."""
-        return self._rank_mode
-
-    @property
     def reorder_bags(self) -> bool:
         """Whether :meth:`warm` re-packs the corpus in centroid order."""
         return self._reorder_bags
@@ -201,15 +183,9 @@ class RetrievalService:
         ``history_len`` / ``max_history``, ``n_images`` / ``database_name``,
         ``corpus_keys`` (which bag corpora are warmed), the concept
         cache's ``hits`` / ``misses`` / ``hit_rate`` / ``entries`` /
-        ``max_entries``, and — when the corpus carries a coarse tier —
-        an ``ann`` block with its probe / hit-rate / candidate-size /
-        fallback-to-exact counters
-        (:meth:`repro.index.ann.CoarseIndex.stats`; ``None`` until a
-        coarse index exists).
+        ``max_entries``, and the ``rank_index`` policy.
         """
         cache = self.cache_stats
-        packed = self._region_packed()
-        coarse = packed.cached_coarse_index if packed is not None else None
         with self._lock:
             history_len = len(self._history)
             n_queries = self._n_queries
@@ -226,10 +202,10 @@ class RetrievalService:
             "rank_index": {
                 "enabled": self._rank_index,
                 "shards": self._rank_shards,
-                "mode": self._rank_mode,
+                # Kept for stats readers: every ranking is exact.
+                "mode": "exact",
                 "reorder_bags": self._reorder_bags,
             },
-            "ann": coarse.stats() if coarse is not None else None,
             "cache": {
                 "hits": cache.hits,
                 "misses": cache.misses,
@@ -242,18 +218,6 @@ class RetrievalService:
     # ------------------------------------------------------------------ #
     # Corpus management                                                   #
     # ------------------------------------------------------------------ #
-
-    def _region_packed(self) -> PackedCorpus | None:
-        """The region corpus's cached packed view, or ``None`` — no build.
-
-        A service can wrap either an :class:`ImageDatabase` (whose packer
-        caches the view) or a bare :class:`PackedCorpus` (synthetic
-        corpora — the view *is* the corpus).
-        """
-        if isinstance(self._database, PackedCorpus):
-            return self._database
-        cached = getattr(self._database, "cached_packed", None)
-        return cached if isinstance(cached, PackedCorpus) else None
 
     def corpus_for(self, learner: Learner) -> Corpus:
         """The (cached) corpus view a learner ranks against."""
@@ -305,8 +269,7 @@ class RetrievalService:
         packing nor the index build is charged to the first query.  A
         ``reorder_bags`` service re-packs the view in clustered-centroid
         order first (adopted back into the adapter's cache, so every later
-        caller sees the reordered view); a ``rank_mode="approx"`` service
-        additionally builds the coarse tier.
+        caller sees the reordered view).
         """
         resolved = make_learner(learner, **params)
         resolved.bind(self._database)
@@ -328,11 +291,8 @@ class RetrievalService:
                         self._database = packed
                         with self._lock:
                             self._corpora["region-bags"] = packed
-                large = packed.n_bags >= AUTO_SHARD_MIN_BAGS
-                if self._rank_index and large:
+                if self._rank_index and packed.n_bags >= AUTO_SHARD_MIN_BAGS:
                     packed.shard_index(self._rank_shards)
-                if self._rank_mode == "approx" and large:
-                    packed.coarse_index()
         else:
             for image_id in self._database.image_ids:
                 corpus.instances_for(image_id)
@@ -474,8 +434,6 @@ class RetrievalService:
             and packed.rank_index_shards != self._rank_shards
         ):
             packed.configure_rank_index(n_shards=self._rank_shards)
-        if packed.rank_mode != self._rank_mode:
-            packed.configure_rank_index(rank_mode=self._rank_mode)
 
     def query(self, query: Query) -> QueryResult:
         """Execute one query end to end (fit + rank + timing)."""

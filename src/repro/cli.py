@@ -24,11 +24,10 @@ in bounded memory and resumes interrupted runs, ``inspect`` reads the
 manifest back, ``pack`` folds a shard directory into one packed-corpus
 archive.
 
-``index`` manages the offline rank-acceleration tiers: ``build`` packs a
-database snapshot's corpus (optionally re-packed in clustered-centroid
-order), builds the sharded bound-pruned rank index and the hash-coded
-coarse tier (:mod:`repro.index.ann`), and writes a format-v4 snapshot;
-``inspect`` reports what a snapshot carries.
+``index`` manages the offline rank index: ``build`` packs a database
+snapshot's corpus (optionally re-packed in clustered-centroid order),
+builds the sharded bound-pruned rank index, and writes a format-v4
+snapshot carrying both; ``inspect`` reports what a snapshot carries.
 
 ``serve`` starts an HTTP worker (``repro.serve``) over a database snapshot
 — or a warm service snapshot (``--snapshot``), which restores the packed
@@ -228,14 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rank exhaustively: never route top-k queries "
                        "through the sharded rank index (rankings are "
                        "identical either way)")
-    serve.add_argument("--rank-mode", dest="rank_mode", default=None,
-                       choices=["exact", "approx"],
-                       help="serving rank mode: 'exact' (default) is "
-                       "ordering-identical to the reference loop; 'approx' "
-                       "answers top-k queries from the hash-coded coarse "
-                       "tier (repro.index.ann), trading measured recall "
-                       "for speed.  With --snapshot, the default keeps the "
-                       "saved service's mode")
     serve.add_argument("--reorder", dest="reorder_bags", action="store_true",
                        help="re-pack the corpus in clustered-centroid order "
                        "at warm time (rankings identical; bound pruning "
@@ -327,12 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the report as JSON (for CI artifacts)")
 
     index = commands.add_parser(
-        "index", help="build/inspect the offline rank-acceleration tiers"
+        "index", help="build/inspect the offline rank index"
     )
     index_commands = index.add_subparsers(dest="index_command", required=True)
 
     index_build = index_commands.add_parser(
-        "build", help="build the rank index + coarse tier into a v4 snapshot"
+        "build",
+        help="build the bound-pruned rank index (optionally over a "
+        "centroid-reordered corpus) into a v4 snapshot",
     )
     index_build.add_argument("--db", required=True,
                              help="database snapshot path")
@@ -345,15 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     index_build.add_argument("--shards", type=int, default=None, metavar="N",
                              help="shard count for the bound-pruned rank "
                              "index (default: automatic)")
-    index_build.add_argument("--bits", type=int, default=None, metavar="B",
-                             help="coarse-tier code width in bits "
-                             "(default 128)")
-    index_build.add_argument("--tables", type=int, default=None, metavar="T",
-                             help="coarse-tier banded lookup tables "
-                             "(default 4)")
-    index_build.add_argument("--band-bits", dest="band_bits", type=int,
-                             default=None, metavar="B",
-                             help="bits per lookup band (default 16)")
 
     index_inspect = index_commands.add_parser(
         "inspect", help="report what a snapshot's packed corpus carries"
@@ -579,7 +563,6 @@ def build_server(args: argparse.Namespace):
     (``--corpus-dir``), warms the requested learner corpora, and returns
     an unstarted :class:`~repro.serve.http.ReproServer`.
     """
-    rank_mode = getattr(args, "rank_mode", None)
     reorder_bags = bool(getattr(args, "reorder_bags", False))
     read_timeout = getattr(args, "read_timeout", None) or 30.0
     if getattr(args, "corpus_dir", None):
@@ -589,7 +572,6 @@ def build_server(args: argparse.Namespace):
             max_history=args.max_history,
             rank_index=args.rank_index,
             rank_shards=args.shards,
-            rank_mode=rank_mode or "exact",
             reorder_bags=reorder_bags,
         )
         print(f"opened sharded corpus {info.path}: {info.n_images} bags")
@@ -600,8 +582,6 @@ def build_server(args: argparse.Namespace):
             max_history=args.max_history,
             rank_index=args.rank_index,
             rank_shards=args.shards,
-            # None keeps the snapshot's saved mode.
-            rank_mode=rank_mode,
         )
         print(
             f"restored warm worker from {info.path.name}: {info.n_images} images, "
@@ -614,13 +594,10 @@ def build_server(args: argparse.Namespace):
             max_history=args.max_history,
             rank_index=args.rank_index,
             rank_shards=args.shards,
-            rank_mode=rank_mode or "exact",
             reorder_bags=reorder_bags,
         )
     for learner in [name.strip() for name in args.warm.split(",") if name.strip()]:
         service.warm(learner)
-    if service.rank_mode == "approx":
-        print("approximate ranking on (hash-coded coarse tier)")
     n_workers = getattr(args, "workers", 1) or 1
     if n_workers > 1:
         from repro.serve.workers import WorkerDispatchApp, WorkerPool
@@ -819,36 +796,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
-    from repro.index.ann import (
-        DEFAULT_BAND_BITS,
-        DEFAULT_CODE_BITS,
-        DEFAULT_TABLES,
-        CoarseIndex,
-    )
-
     database = load_database(args.db)
     packed = database.packed()
     if args.reorder:
         packed, _ = packed.reordered_by_centroid()
         database.adopt_packed(packed)
         print(f"reordered {packed.n_bags} bags in clustered-centroid order")
-    packed.shard_index(args.shards)
-    coarse = CoarseIndex.build(
-        packed,
-        n_bits=args.bits if args.bits is not None else DEFAULT_CODE_BITS,
-        n_tables=args.tables if args.tables is not None else DEFAULT_TABLES,
-        band_bits=(
-            args.band_bits if args.band_bits is not None else DEFAULT_BAND_BITS
-        ),
-        index=packed.cached_shard_index,
-    )
-    packed.adopt_coarse_index(coarse)
+    index = packed.shard_index(args.shards)
     path = save_database(database, Path(args.out))
     print(
         f"indexed {packed.n_bags} bags: rank index "
-        f"({packed.cached_shard_index.n_shards} shards) + coarse tier "
-        f"({coarse.coder.n_bits} bits, {coarse.n_tables} x "
-        f"{coarse.band_bits}-bit tables) into {path}"
+        f"({index.n_shards} shards) into {path}"
     )
     return 0
 
@@ -861,7 +819,6 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
         return 0
     reordered = packed.image_ids != database.image_ids
     index = packed.cached_shard_index
-    coarse = packed.cached_coarse_index
     rows = [
         ["bags", packed.n_bags],
         ["instances", packed.n_instances],
@@ -869,27 +826,8 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
         ["bag order", "clustered (reordered)" if reordered else "insertion"],
         ["rank index", f"{index.n_shards} shards" if index is not None else "-"],
     ]
-    if coarse is not None:
-        rows.extend(
-            [
-                ["coarse tier", f"{coarse.coder.n_bits}-bit codes"],
-                ["lookup tables", f"{coarse.n_tables} x {coarse.band_bits} bits"],
-            ]
-        )
-        stats = coarse.stats()
-        rows.extend(
-            [
-                ["probes", stats["probes"]],
-                ["fallbacks", stats["fallbacks"]],
-                ["hit rate", f"{stats['hit_rate']:.2%}"],
-                ["mean candidates", f"{stats['mean_candidates']:.1f}"],
-                ["mean evaluated", f"{stats['mean_evaluated']:.1f}"],
-            ]
-        )
-    else:
-        rows.append(["coarse tier", "-"])
     print(ascii_table(["field", "value"], rows,
-                      title=f"index tiers of {args.db}"))
+                      title=f"rank index of {args.db}"))
     return 0
 
 

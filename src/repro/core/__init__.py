@@ -38,7 +38,6 @@ from repro.core.retrieval import (
     PackedCorpus,
     RankedImage,
     Ranker,
-    RetrievalEngine,
     RetrievalResult,
     packed_view,
     rank_by_loop,
@@ -65,7 +64,6 @@ __all__ = [
     "PackedCorpus",
     "RankedImage",
     "Ranker",
-    "RetrievalEngine",
     "RetrievalResult",
     "ShardIndex",
     "ShardedRanker",

@@ -17,12 +17,8 @@ that ranking over a *corpus* in columnar form:
   (``np.minimum.reduceat``) and an id-tie-broken argsort, with ``top_k``
   truncation, id exclusion and category filtering.
 * :func:`rank_by_loop` — the legacy per-bag reference implementation, kept
-  for equivalence tests and the loop-vs-vectorised benchmark
+  as the test oracle and for the loop-vs-vectorised benchmark
   (``benchmarks/bench_rank_corpus.py``).
-
-:class:`RetrievalEngine` survives as a thin compatibility wrapper that
-delegates to :class:`Ranker`, so older call sites get the fast path for
-free.
 """
 
 from __future__ import annotations
@@ -38,12 +34,6 @@ from repro.errors import DatabaseError
 #: Distinguishes "argument omitted" from an explicit ``None`` in
 #: :meth:`PackedCorpus.configure_rank_index`.
 _UNSET = object()
-
-#: The serving rank modes a corpus view can carry: ``"exact"`` ranks
-#: through the bound-pruned (ordering-identical) machinery, ``"approx"``
-#: routes ``top_k`` queries through the hash-coded coarse tier
-#: (:class:`repro.index.ann.ApproxRanker`) before the exact re-rank.
-RANK_MODES = ("exact", "approx")
 
 
 @dataclass(frozen=True)
@@ -125,10 +115,8 @@ class PackedCorpus:
         "_position",
         "_squared",
         "_shard_index",
-        "_coarse_index",
         "_rank_index_enabled",
         "_rank_index_shards",
-        "_rank_mode",
     )
 
     def __init__(
@@ -173,10 +161,8 @@ class PackedCorpus:
         object.__setattr__(self, "_position", {i: p for p, i in enumerate(ids)})
         object.__setattr__(self, "_squared", None)
         object.__setattr__(self, "_shard_index", None)
-        object.__setattr__(self, "_coarse_index", None)
         object.__setattr__(self, "_rank_index_enabled", True)
         object.__setattr__(self, "_rank_index_shards", None)
-        object.__setattr__(self, "_rank_mode", "exact")
 
     def __setattr__(self, name: str, value: object) -> None:  # immutability guard
         raise AttributeError("PackedCorpus is immutable")
@@ -506,42 +492,6 @@ class PackedCorpus:
             )
         object.__setattr__(self, "_shard_index", index)
 
-    def coarse_index(self):
-        """The (cached) hash-coded coarse index over this corpus.
-
-        Built lazily on first use — one summary pass plus the sign
-        projections (:class:`repro.index.ann.CoarseIndex`) — and cached
-        like the shard index, reusing the cached shard index's envelopes
-        when one exists.  Adapters drop their packed view on mutation, so
-        a stale coarse tier can never outlive a corpus change.
-        """
-        from repro.index.ann import CoarseIndex
-
-        coarse = self._coarse_index
-        if coarse is None:
-            coarse = CoarseIndex.build(self, index=self._shard_index)
-            object.__setattr__(self, "_coarse_index", coarse)
-        return coarse
-
-    @property
-    def cached_coarse_index(self):
-        """The cached coarse index, or ``None`` — never triggers a build."""
-        return self._coarse_index
-
-    def adopt_coarse_index(self, coarse) -> None:
-        """Install an externally built coarse index (snapshot restore path).
-
-        Raises:
-            DatabaseError: if the index does not describe this corpus.
-        """
-        if coarse.n_bags != self.n_bags or coarse.coder.n_dims != self.n_dims:
-            raise DatabaseError(
-                f"adopted coarse index covers {coarse.n_bags} bags x "
-                f"{coarse.coder.n_dims} dims but the corpus holds "
-                f"{self.n_bags} x {self.n_dims}"
-            )
-        object.__setattr__(self, "_coarse_index", coarse)
-
     def reordered_by_centroid(
         self, *, group_size: int | None = None
     ) -> "tuple[PackedCorpus, np.ndarray]":
@@ -549,24 +499,23 @@ class PackedCorpus:
 
         Returns ``(reordered corpus, permutation)`` where
         ``permutation[i]`` is the old position of the bag now at position
-        ``i`` (:func:`repro.index.ann.centroid_order` — id-stable, so the
+        ``i`` (:func:`repro.core.sharding.centroid_order` — id-stable, so the
         produced bag sequence is identical for any ingestion order of the
         same bags).  Rankings over the reordered corpus are
         ordering-identical to the original (results order by ``(distance,
         image_id)`` only — property-tested against ``rank_by_loop``);
         what changes is pruning efficiency, because consecutive bags now
         share tight group envelopes regardless of ingestion order.  The
-        reordered view inherits this view's rank policy; its shard/coarse
-        caches start empty (both are position-dependent).
+        reordered view inherits this view's rank policy; its shard-index
+        cache starts empty (the index is position-dependent).
         """
-        from repro.index.ann import centroid_order
+        from repro.core.sharding import centroid_order
 
         permutation = centroid_order(self, group_size=group_size)
         ordered = self.select(tuple(self._id_array[permutation].tolist()))
         ordered.configure_rank_index(
             enabled=self._rank_index_enabled,
             n_shards=self._rank_index_shards,
-            rank_mode=self._rank_mode,
         )
         return ordered, permutation
 
@@ -575,7 +524,6 @@ class PackedCorpus:
         *,
         enabled: bool | None = None,
         n_shards: "int | None" = _UNSET,
-        rank_mode: str | None = None,
     ) -> None:
         """Set the serving policy for the bound-pruned rank index.
 
@@ -583,14 +531,11 @@ class PackedCorpus:
         the squared-instance cache, not corpus data): ``enabled=False``
         makes :class:`Ranker` rank this corpus exhaustively regardless of
         size, ``n_shards`` pins the shard count the index is built with
-        (``None`` clears a pin back to automatic), ``rank_mode`` selects
-        between the exact and the hash-filtered approximate serving path
-        (:data:`RANK_MODES`).  Omitted arguments leave their part of the
-        policy unchanged.
+        (``None`` clears a pin back to automatic).  Omitted arguments
+        leave their part of the policy unchanged.
 
         Raises:
-            DatabaseError: on a non-positive ``n_shards`` or an unknown
-                ``rank_mode``.
+            DatabaseError: on a non-positive ``n_shards``.
         """
         if enabled is not None:
             object.__setattr__(self, "_rank_index_enabled", bool(enabled))
@@ -602,12 +547,6 @@ class PackedCorpus:
                 "_rank_index_shards",
                 None if n_shards is None else int(n_shards),
             )
-        if rank_mode is not None:
-            if rank_mode not in RANK_MODES:
-                raise DatabaseError(
-                    f"rank_mode must be one of {RANK_MODES}, got {rank_mode!r}"
-                )
-            object.__setattr__(self, "_rank_mode", rank_mode)
 
     @property
     def rank_index_enabled(self) -> bool:
@@ -618,11 +557,6 @@ class PackedCorpus:
     def rank_index_shards(self) -> int | None:
         """Pinned shard count for the rank index (``None`` = automatic)."""
         return self._rank_index_shards
-
-    @property
-    def rank_mode(self) -> str:
-        """The serving rank mode this view carries (:data:`RANK_MODES`)."""
-        return self._rank_mode
 
     def __repr__(self) -> str:
         return (
@@ -998,25 +932,16 @@ class Ranker:
     every bag whose geometric lower bound proves it cannot enter the top
     ``k``.  The routed ranking is ordering-identical to the exhaustive one
     (the pruning bound is exact), so routing is purely a performance
-    decision.
-
-    ``rank_mode="approx"`` (set explicitly, or carried by the corpus view
-    via :meth:`PackedCorpus.configure_rank_index`) routes ``top_k``
-    queries through the hash-coded coarse tier
-    (:class:`repro.index.ann.ApproxRanker`): a banded code lookup selects
-    a bounded candidate set, the candidates are re-ranked exactly, and
-    requests the filter cannot help fall back to the exact path (counted
-    on the corpus's coarse index).  Approximate routing respects the same
-    ``rank_index_enabled`` policy as shard routing — an ephemeral view
-    never pays a throwaway index build.
+    decision.  A corpus view whose rank index is disabled
+    (:meth:`PackedCorpus.configure_rank_index`; every ephemeral view
+    :func:`packed_view` creates) is always ranked exhaustively, so no
+    query pays for a throwaway index build.
 
     Args:
         auto_shard: allow routing through the shard index (default on).
         min_shard_bags: corpus size at which routing starts.
         workers: thread-pool width for the sharded path (``None`` = one
             thread per shard, capped by the machine).
-        rank_mode: ``"exact"`` / ``"approx"`` to override the corpus
-            view's carried mode; ``None`` (default) respects it.
     """
 
     def __init__(
@@ -1025,7 +950,6 @@ class Ranker:
         auto_shard: bool = True,
         min_shard_bags: int = AUTO_SHARD_MIN_BAGS,
         workers: int | None = None,
-        rank_mode: str | None = None,
     ) -> None:
         if min_shard_bags < 1:
             raise DatabaseError(
@@ -1033,15 +957,9 @@ class Ranker:
             )
         if workers is not None and workers < 1:
             raise DatabaseError(f"workers must be >= 1 or None, got {workers}")
-        if rank_mode is not None and rank_mode not in RANK_MODES:
-            raise DatabaseError(
-                f"rank_mode must be one of {RANK_MODES} or None, "
-                f"got {rank_mode!r}"
-            )
         self._auto_shard = auto_shard
         self._min_shard_bags = min_shard_bags
         self._workers = workers
-        self._rank_mode = rank_mode
 
     def rank(
         self,
@@ -1076,22 +994,6 @@ class Ranker:
         if top_k is not None and top_k < 1:
             raise DatabaseError(f"top_k must be >= 1 or None, got {top_k}")
         packed = PackedCorpus.coerce(corpus)
-        mode = self._rank_mode if self._rank_mode is not None else packed.rank_mode
-        if (
-            mode == "approx"
-            and top_k is not None
-            and packed.rank_index_enabled
-            and packed.n_bags > 0
-        ):
-            from repro.index.ann import ApproxRanker
-
-            return ApproxRanker(workers=self._workers).rank(
-                concept,
-                packed,
-                top_k=top_k,
-                exclude=exclude,
-                category_filter=category_filter,
-            )
         if (
             self._auto_shard
             and top_k is not None
@@ -1146,32 +1048,3 @@ def rank_by_loop(
         for position, (distance, image_id, category) in enumerate(scored)
     ]
     return RetrievalResult(ranked)
-
-
-class RetrievalEngine:
-    """Compatibility facade over :class:`Ranker`.
-
-    Older call sites built against the per-bag engine keep working — and
-    now get the vectorised kernel.  Inputs the columnar representation
-    cannot express (duplicate image ids in a candidate list) fall back to
-    the reference loop, so the legacy contract holds in full.  New code
-    should use :class:`Ranker` directly, which also exposes ``top_k`` and
-    ``category_filter``.
-    """
-
-    def __init__(self) -> None:
-        self._ranker = Ranker()
-
-    def rank(
-        self,
-        concept: LearnedConcept,
-        candidates: Iterable[RetrievalCandidate],
-        exclude: Iterable[str] = (),
-    ) -> RetrievalResult:
-        """Produce the full ranking, best match first (delegates to Ranker)."""
-        items = candidates if isinstance(candidates, (list, tuple)) else list(candidates)
-        try:
-            packed = PackedCorpus.from_candidates(items)
-        except DatabaseError:
-            return rank_by_loop(concept, items, exclude=exclude)
-        return self._ranker.rank(concept, packed, exclude=exclude)

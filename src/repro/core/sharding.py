@@ -35,6 +35,12 @@ chunks while all shards share one running top-k threshold; the per-shard
 survivors are merged with the same id-tie-broken partial sort the
 exhaustive path uses, so the output is deterministic regardless of thread
 scheduling.
+
+Group envelopes are only as tight as the bags that share them.
+:func:`centroid_order` is the pack-time permutation
+(:meth:`~repro.core.retrieval.PackedCorpus.reordered_by_centroid`) that
+puts bags near in centroid space into the same group, whatever order the
+corpus was ingested in.
 """
 
 from __future__ import annotations
@@ -428,6 +434,51 @@ def adopt_index_payload(packed: PackedCorpus, info, arrays) -> None:
     )
 
 
+def centroid_order(corpus, *, group_size: int | None = None) -> np.ndarray:
+    """An id-stable, spatially clustered permutation of the bag positions.
+
+    Recursive median split over the bag centroids: at every level the set
+    splits at the median of its widest-spread coordinate (max - min, which
+    is summation-order independent, so shuffled ingestion cannot flip the
+    choice), ties broken by image id; blocks of at most ``group_size``
+    bags are emitted in id order.  Bags that are near in centroid space
+    therefore land in the same :class:`ShardIndex` group, which tightens
+    the group envelopes regardless of ingestion order — and because the
+    permutation is keyed by ``(coordinate, id)`` at every level, the *id
+    sequence* it produces is identical for any ingestion order of the same
+    bags.
+
+    Raises:
+        DatabaseError: on a non-positive ``group_size``.
+    """
+    packed = PackedCorpus.coerce(corpus)
+    if group_size is None:
+        group_size = DEFAULT_GROUP_BAGS
+    if group_size < 1:
+        raise DatabaseError(f"group_size must be >= 1, got {group_size}")
+    if packed.n_bags == 0:
+        return np.zeros(0, dtype=np.int64)
+    centroids = (
+        np.add.reduceat(packed.instances, packed.offsets[:-1], axis=0)
+        / packed.lengths[:, None]
+    )
+    ids = packed.id_array
+    blocks: list[np.ndarray] = []
+    stack = [np.arange(packed.n_bags, dtype=np.int64)]
+    while stack:
+        positions = stack.pop()
+        if positions.size <= group_size:
+            blocks.append(positions[np.argsort(ids[positions], kind="stable")])
+            continue
+        points = centroids[positions]
+        dim = int(np.argmax(points.max(axis=0) - points.min(axis=0)))
+        order = np.lexsort((ids[positions], points[:, dim]))
+        half = positions.size // 2
+        stack.append(positions[order[half:]])
+        stack.append(positions[order[:half]])
+    return np.concatenate(blocks)
+
+
 def envelope_bounds(
     lower: np.ndarray, upper: np.ndarray, concept: LearnedConcept
 ) -> np.ndarray:
@@ -585,6 +636,11 @@ class ShardedRanker:
     ) -> RetrievalResult:
         """Rank a corpus, best match first — same contract as ``Ranker.rank``.
 
+        The whole-corpus fragment ``[0, n_bags)`` (:meth:`_scan`, the scan
+        behind :meth:`fragment_candidates`) merged with the same
+        :func:`~repro.core.retrieval.top_order` +
+        :func:`~repro.core.retrieval.build_result` pass scatter uses.
+
         Args:
             index: a prebuilt :class:`ShardIndex` to use instead of the
                 corpus's cached one (benchmark/offline-build workflows).
@@ -612,38 +668,9 @@ class ShardedRanker:
                 exclude=exclude,
                 category_filter=category_filter,
             )
-        if index is None:
-            index = packed.shard_index(self._n_shards)
-        elif index.corpus is not packed:
-            # A same-shaped index over *different* instances would prune
-            # silently wrong; the index carries its corpus, so identity is
-            # checkable for free.
-            raise DatabaseError(
-                f"the supplied shard index ({index.n_bags} bags x "
-                f"{index.n_dims} dims) was built over a different corpus "
-                f"than the one being ranked ({packed.n_bags} x "
-                f"{packed.n_dims}); build the index over the ranked corpus"
-            )
-        if concept.n_dims != packed.n_dims:
-            raise DatabaseError(
-                f"concept has {concept.n_dims} dims but the packed corpus "
-                f"holds {packed.n_dims}"
-            )
-        box = _ThresholdBox()
-        floor = index.prune_floor(concept)
-        ranges = [
-            (int(index.boundaries[i]), int(index.boundaries[i + 1]))
-            for i in range(index.n_shards)
-        ]
-        scan = lambda span: self._shard_candidates(  # noqa: E731
-            packed, concept, index, keep, top_k, box, floor, *span
+        candidate_idx, candidate_dist, _ = self._scan(
+            concept, packed, index, keep, top_k, 0, packed.n_bags, np.inf
         )
-        if len(ranges) > 1 and (self._workers is None or self._workers > 1):
-            parts = list(_shared_pool(self._workers).map(scan, ranges))
-        else:
-            parts = [scan(span) for span in ranges]
-        candidate_idx = np.concatenate([part[0] for part in parts])
-        candidate_dist = np.concatenate([part[1] for part in parts])
         ids = packed.id_array[candidate_idx]
         categories = packed.category_array[candidate_idx]
         order = top_order(ids, candidate_dist, top_k)
@@ -698,41 +725,62 @@ class ShardedRanker:
                 f"fragment range [{start}, {stop}) must lie inside "
                 f"[0, {packed.n_bags}]"
             )
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0), 0)
         if start == stop:
-            return empty
+            return np.zeros(0, dtype=np.int64), np.zeros(0), 0
+        keep = keep_mask(packed, tuple(exclude), category_filter)
+        return self._scan(
+            concept, packed, index, keep, top_k, start, stop, initial_threshold
+        )
+
+    def _scan(
+        self,
+        concept: LearnedConcept,
+        packed: PackedCorpus,
+        index: ShardIndex | None,
+        keep: np.ndarray,
+        top_k: int,
+        start: int,
+        stop: int,
+        initial_threshold: float,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The bound-pruned scan of ``[start, stop)`` shared by :meth:`rank`
+        and :meth:`fragment_candidates`.
+
+        Validates the concept (before any index build) and the index, then
+        scans the range's intersection with the index's shard partition —
+        so the in-range bound pass parallelises exactly like a
+        whole-corpus scan, and the partition a scatter coordinator used to
+        cut fragments need not match this index's (correctness is
+        partition-independent).  Returns the trimmed
+        ``(bag positions, exact distances, bags exactly evaluated)``.
+        """
+        if concept.n_dims != packed.n_dims:
+            raise DatabaseError(
+                f"concept has {concept.n_dims} dims but the packed corpus "
+                f"holds {packed.n_dims}"
+            )
         if index is None:
             index = packed.shard_index(self._n_shards)
         elif index.corpus is not packed:
+            # A same-shaped index over *different* instances would prune
+            # silently wrong; the index carries its corpus, so identity is
+            # checkable for free.
             raise DatabaseError(
                 f"the supplied shard index ({index.n_bags} bags x "
                 f"{index.n_dims} dims) was built over a different corpus "
                 f"than the one being ranked ({packed.n_bags} x "
                 f"{packed.n_dims}); build the index over the ranked corpus"
             )
-        if concept.n_dims != packed.n_dims:
-            raise DatabaseError(
-                f"concept has {concept.n_dims} dims but the packed corpus "
-                f"holds {packed.n_dims}"
-            )
-        keep = keep_mask(packed, tuple(exclude), category_filter)
         box = _ThresholdBox()
         if np.isfinite(initial_threshold):
             box.update(float(initial_threshold))
         floor = index.prune_floor(concept)
-        # The fragment scans its intersection with the index's shard
-        # partition, so the in-range bound pass parallelises exactly like
-        # a whole-corpus scan (and the partition the *coordinator* used to
-        # cut fragments need not match this index's — correctness is
-        # partition-independent).
         spans = []
         for i in range(index.n_shards):
             lo = max(start, int(index.boundaries[i]))
             hi = min(stop, int(index.boundaries[i + 1]))
             if lo < hi:
                 spans.append((lo, hi))
-        if not spans:
-            return empty
         scan = lambda span: self._shard_candidates(  # noqa: E731
             packed, concept, index, keep, top_k, box, floor, *span
         )

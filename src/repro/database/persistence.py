@@ -11,14 +11,14 @@ first query without re-featurising the whole corpus.  Format version 3
 additionally persists the packed view's bound-pruned rank index
 (:class:`~repro.core.sharding.ShardIndex`) when one was built, so a cold
 worker — or every worker of a ``repro serve --workers N`` pool — skips the
-O(N·d) envelope build too.  Format version 4 adds the approximate tier:
-the packed view's hash-coded coarse index (codes + projection planes,
-:mod:`repro.index.ann`) when one was built, and the packed view's own bag
-order — a view re-packed in clustered-centroid order
+O(N·d) envelope build too.  Format version 4 adds the packed view's own bag
+order: a view re-packed in clustered-centroid order
 (:meth:`~repro.core.retrieval.PackedCorpus.reordered_by_centroid`) round-
-trips as-is instead of being silently un-reordered on load.  Versions 1–3
-still load (they simply start with a cold packed cache / cold index / no
-coarse tier).
+trips as-is instead of being silently un-reordered on load.  Version 4
+files written by older code may also carry a ``packed.ann`` entry (the
+arrays of a since-removed hash-coded approximate tier); the loader ignores
+it.  Versions 1–3 still load (they simply start with a cold packed cache /
+cold index / the ingestion bag order).
 
 The module-level :func:`save_database` / :func:`load_database` pair writes a
 standalone ``.npz``; :func:`database_payload` / :func:`database_from_payload`
@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.core.retrieval import PackedCorpus
 from repro.core.sharding import adopt_index_payload, index_payload
-from repro.index.ann import adopt_ann_payload, ann_payload
 from repro.database.store import ImageDatabase
 from repro.errors import DatabaseError
 from repro.imaging.features import FeatureConfig
@@ -46,9 +45,9 @@ from repro.imaging.regions import region_family
 _FORMAT_VERSION = 4
 #: Snapshot versions :func:`load_database` understands.  Version 1 predates
 #: the packed-corpus round-trip; version 2 predates the persisted rank
-#: index; version 3 predates the coarse tier and the persisted bag order.
-#: All load fine (and simply start with a cold packed cache / cold index /
-#: no coarse tier).
+#: index; version 3 predates the persisted bag order.  All load fine (and
+#: simply start with a cold packed cache / cold index / the ingestion bag
+#: order).
 SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 
@@ -114,10 +113,6 @@ def database_payload(
         if packed.cached_shard_index is not None:
             manifest["packed"]["index"] = index_payload(
                 packed.cached_shard_index, f"{key_prefix}packed_index", arrays
-            )
-        if packed.cached_coarse_index is not None:
-            manifest["packed"]["ann"] = ann_payload(
-                packed.cached_coarse_index, f"{key_prefix}packed_ann", arrays
             )
     return manifest, arrays
 
@@ -191,7 +186,6 @@ def database_from_payload(
                     f"but the feature configuration produces {config.n_dims}"
                 )
             adopt_index_payload(packed, packed_info.get("index"), arrays)
-            adopt_ann_payload(packed, packed_info.get("ann"), arrays)
             database.adopt_packed(packed)
     except KeyError as exc:
         raise DatabaseError(f"snapshot manifest is missing key {exc}") from exc

@@ -46,7 +46,7 @@ from typing import Any, Mapping
 
 from repro.api.learners import available_learners
 from repro.api.service import RetrievalService
-from repro.core.retrieval import RANK_MODES, Ranker
+from repro.core.retrieval import Ranker
 from repro.core.sharding import ShardedRanker
 from repro.serve import codec
 from repro.serve.sessions import SessionStore
@@ -187,21 +187,13 @@ class ServiceApp:
         With ``"session"``, re-ranks using that tenant's current trained
         model (examples excluded, no retraining).  With ``"concept"``, ranks
         the region corpus against a concept shipped over the wire — the
-        train-once / rank-anywhere path.  An optional ``"rank_mode"``
-        (``"exact"`` | ``"approx"``) overrides the service's rank mode for
-        this one concept request: ``"approx"`` answers from the hash-coded
-        coarse tier (:mod:`repro.index.ann`) when the served corpus carries
-        one.
+        train-once / rank-anywhere path.  Every ranking is exact; unknown
+        payload fields (such as a rank-mode field older clients send) are
+        ignored.
         """
         data = codec.open_envelope(payload, "rank")
         top_k = data.get("top_k")
         category_filter = data.get("category_filter")
-        rank_mode = data.get("rank_mode")
-        if rank_mode is not None and rank_mode not in RANK_MODES:
-            raise CodecError(
-                f"rank payload rank_mode must be one of {RANK_MODES}, "
-                f"got {rank_mode!r}"
-            )
         token = data.get("session")
         if token is not None:
             session = self._sessions.get(str(token))
@@ -219,7 +211,7 @@ class ServiceApp:
             packed = self._service.packed_database(
                 None if candidate_ids is None else tuple(candidate_ids)
             )
-            ranking = Ranker(rank_mode=rank_mode).rank(
+            ranking = Ranker().rank(
                 concept,
                 packed,
                 top_k=None if top_k is None else int(top_k),

@@ -545,15 +545,9 @@ class ReproClient:
         exclude: Sequence[str] = (),
         top_k: int | None = None,
         category_filter: str | None = None,
-        rank_mode: str | None = None,
         deadline_ms: float | None = None,
     ) -> RetrievalResult:
-        """Re-rank remotely with a session's model or an explicit concept.
-
-        ``rank_mode`` (``"exact"`` | ``"approx"``) overrides the server's
-        rank mode for this one concept request; ``None`` keeps the served
-        default.
-        """
+        """Re-rank remotely with a session's model or an explicit concept."""
         payload = codec.envelope(
             "rank",
             {
@@ -565,7 +559,6 @@ class ReproClient:
                 "exclude": list(exclude),
                 "top_k": top_k,
                 "category_filter": category_filter,
-                "rank_mode": rank_mode,
             },
         )
         body = codec.open_envelope(

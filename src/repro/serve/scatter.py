@@ -45,14 +45,13 @@ import numpy as np
 
 from repro.core.retrieval import (
     AUTO_SHARD_MIN_BAGS,
-    RANK_MODES,
     Ranker,
     build_result,
     keep_mask,
     top_order,
 )
 from repro.core.sharding import seed_threshold
-from repro.errors import CodecError, DeadlineError, ReproError, ServeError, SessionError
+from repro.errors import DeadlineError, ReproError, ServeError, SessionError
 from repro.serve import codec
 from repro.serve.app import error_payload
 from repro.serve.resilience import Deadline
@@ -240,18 +239,12 @@ class ScatterRanker:
                 "coordinator-side"
             )
         concept = codec.decode_concept(data["concept"])
-        rank_mode = data.get("rank_mode")
-        if rank_mode is not None and rank_mode not in RANK_MODES:
-            raise CodecError(
-                f"rank payload rank_mode must be one of {RANK_MODES}, "
-                f"got {rank_mode!r}"
-            )
         top_k = data.get("top_k")
         candidate_ids = data.get("candidate_ids")
         packed = self._service.packed_database(
             None if candidate_ids is None else tuple(candidate_ids)
         )
-        ranking = Ranker(rank_mode=rank_mode).rank(
+        ranking = Ranker().rank(
             concept,
             packed,
             top_k=None if top_k is None else int(top_k),

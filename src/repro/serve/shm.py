@@ -37,7 +37,6 @@ import numpy as np
 from repro.core.retrieval import PackedCorpus
 from repro.core.sharding import DEFAULT_GROUP_BAGS, ShardIndex
 from repro.errors import ServeError
-from repro.index.ann import adopt_ann_payload, ann_payload
 
 #: Spec-format version; :meth:`SharedPackedCorpus.attach` rejects others.
 SPEC_VERSION = 1
@@ -153,16 +152,6 @@ class SharedPackedCorpus:
             plan.append(("index_group_lower", index.group_lower))
             plan.append(("index_group_upper", index.group_upper))
             plan.append(("index_extent", index.extent))
-        coarse = packed.cached_coarse_index
-        ann_info = None
-        if coarse is not None:
-            # The coarse tier's codes + planes ride the same segment (the
-            # banded tables are rederived per process — they hold python
-            # dicts, not flat arrays).  Spec evolution is add-only: old
-            # attachers ignore the extra arrays and the "ann" key.
-            ann_arrays: dict[str, np.ndarray] = {}
-            ann_info = ann_payload(coarse, "ann", ann_arrays)
-            plan.extend(ann_arrays.items())
 
         arrays: dict[str, dict] = {}
         cursor = 0
@@ -193,8 +182,6 @@ class SharedPackedCorpus:
             },
             "rank_index_enabled": bool(packed.rank_index_enabled),
             "rank_index_shards": packed.rank_index_shards,
-            "rank_mode": packed.rank_mode,
-            "ann": ann_info,
         }
         shared = cls(shm, spec, owner=True)
         for key, array in plan:
@@ -308,7 +295,6 @@ class SharedPackedCorpus:
         packed.configure_rank_index(
             enabled=bool(self._spec.get("rank_index_enabled", True)),
             n_shards=self._spec.get("rank_index_shards"),
-            rank_mode=self._spec.get("rank_mode"),
         )
         index_info = self._spec.get("index")
         if index_info is not None:
@@ -334,19 +320,6 @@ class SharedPackedCorpus:
                     ),
                     _derived=derived,
                 )
-            )
-        ann_info = self._spec.get("ann")
-        if ann_info is not None:
-            # Rebuild the coarse tier over the shared codes/planes views:
-            # the banded tables are the only per-process rederive.
-            adopt_ann_payload(
-                packed,
-                ann_info,
-                {
-                    key: self._view(key)
-                    for key in (ann_info.get("codes"), ann_info.get("planes"))
-                    if key in self._spec.get("arrays", {})
-                },
             )
         self._corpus = packed
         return packed

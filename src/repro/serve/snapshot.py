@@ -34,7 +34,6 @@ from repro.api.service import RetrievalService
 from repro.core.diverse_density import TrainingResult
 from repro.core.retrieval import PackedCorpus, packed_view
 from repro.core.sharding import adopt_index_payload, index_payload
-from repro.index.ann import adopt_ann_payload, ann_payload
 from repro.database.persistence import database_from_payload, database_payload
 from repro.errors import CodecError, ServeError
 from repro.serve import codec
@@ -146,10 +145,6 @@ def save_service(service: RetrievalService, path: str | Path) -> SnapshotInfo:
             corpora_manifest[key]["index"] = index_payload(
                 packed.cached_shard_index, f"{slug}_index", arrays
             )
-        if packed.cached_coarse_index is not None:
-            corpora_manifest[key]["ann"] = ann_payload(
-                packed.cached_coarse_index, f"{slug}_ann", arrays
-            )
 
     cache_entries: list[dict] = []
     n_skipped = 0
@@ -170,7 +165,6 @@ def save_service(service: RetrievalService, path: str | Path) -> SnapshotInfo:
         "cache": cache_entries,
         "service": {
             "max_history": service.max_history,
-            "rank_mode": service.rank_mode,
             "reorder_bags": service.reorder_bags,
         },
     }
@@ -196,9 +190,13 @@ def load_service(
     max_history: int | None = None,
     rank_index: bool = True,
     rank_shards: int | None = None,
-    rank_mode: str | None = None,
 ) -> tuple[RetrievalService, SnapshotInfo]:
     """Restore a warm service from a snapshot.
+
+    Fields of the saved ``"service"`` block other than ``max_history``
+    (the reorder flag, or the rank mode older writers saved) are ignored:
+    the restored corpus already carries its bag order, and every ranking
+    is exact.
 
     Args:
         path: a file written by :func:`save_service`.
@@ -208,9 +206,6 @@ def load_service(
         rank_index: allow the sharded bound-pruned rank index; snapshotted
             indexes are restored either way (they are inert when disabled).
         rank_shards: pin the restored service's shard count.
-        rank_mode: exact/approx serving mode; ``None`` keeps the saved
-            service's (snapshots written before the coarse tier default
-            to ``"exact"``).
 
     Returns:
         ``(service, info)`` — the service answers a repeated query without
@@ -244,15 +239,12 @@ def load_service(
         saved_service = manifest.get("service", {})
         if max_history is None:
             max_history = saved_service.get("max_history")
-        if rank_mode is None:
-            rank_mode = saved_service.get("rank_mode", "exact")
         service = RetrievalService(
             database,
             cache_size=cache_size,
             max_history=max_history,
             rank_index=rank_index,
             rank_shards=rank_shards,
-            rank_mode=rank_mode,
         )
         if database.cached_packed is not None:
             # Snapshots written before database format v3 carried the
@@ -269,7 +261,6 @@ def load_service(
                 categories=info["categories"],
             )
             adopt_index_payload(packed, info.get("index"), payload)
-            adopt_ann_payload(packed, info.get("ann"), payload)
             service.adopt_corpus(key, packed)
             corpus_keys.append(key)
 
@@ -307,7 +298,6 @@ def load_corpus_service(
     max_history: int | None = 1000,
     rank_index: bool = True,
     rank_shards: int | None = None,
-    rank_mode: str = "exact",
     reorder_bags: bool = False,
     verify: bool = True,
 ) -> tuple[RetrievalService, SnapshotInfo]:
@@ -322,7 +312,7 @@ def load_corpus_service(
     Args:
         path: the corpus directory.
         cache_size / max_history / rank_index / rank_shards /
-            rank_mode / reorder_bags: as
+            reorder_bags: as
             :class:`~repro.api.service.RetrievalService`.
         verify: re-checksum every shard while building the packed view.
 
@@ -343,7 +333,6 @@ def load_corpus_service(
         max_history=max_history,
         rank_index=rank_index,
         rank_shards=rank_shards,
-        rank_mode=rank_mode,
         reorder_bags=reorder_bags,
     )
     return service, SnapshotInfo(

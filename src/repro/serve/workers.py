@@ -136,9 +136,8 @@ def _worker_main(conn, specs: dict, knobs: dict) -> None:
             rank_index=knobs.get("rank_index", True),
             rank_shards=knobs.get("rank_shards"),
             # Any bag reordering already happened parent-side (the shared
-            # segment carries the reordered corpus), so only the mode knob
-            # travels; reorder_bags stays off in workers.
-            rank_mode=knobs.get("rank_mode", "exact"),
+            # segment carries the reordered corpus), so reorder_bags stays
+            # off in workers.
         )
         for key, spec in specs.get("corpora", {}).items():
             extra = SharedPackedCorpus.attach(spec)
@@ -475,16 +474,6 @@ class WorkerPool:
                 # segment — N workers adopt zero-copy views instead of
                 # each paying an O(n_bags x d) rebuild on first query.
                 packed.shard_index(service.rank_shards)
-            if (
-                service.rank_mode == "approx"
-                and packed.rank_index_enabled
-                and packed.n_bags >= AUTO_SHARD_MIN_BAGS
-                and packed.cached_coarse_index is None
-            ):
-                # Same once-parent-side deal for the coarse tier: codes and
-                # planes ride the shared segment; workers only rederive the
-                # (python-dict) banded tables.
-                packed.coarse_index()
             shared[_DATABASE_KEY] = SharedPackedCorpus.create(
                 packed, share_squares=share_squares
             )
@@ -510,7 +499,6 @@ class WorkerPool:
                 "max_history": service.max_history,
                 "rank_index": service.rank_index,
                 "rank_shards": service.rank_shards,
-                "rank_mode": service.rank_mode,
                 "cache_entries": cache_entries,
                 "session_ttl": session_ttl,
                 "max_sessions": max_sessions,
@@ -1012,41 +1000,6 @@ class WorkerPool:
         return f"WorkerPool({state}, {self._n_restarts} restarts)"
 
 
-def _merge_ann_stats(merged: "dict | None", stats: "dict | None") -> "dict | None":
-    """Fold one worker's coarse-tier stats block into the pool aggregate.
-
-    Each worker rebuilds its own :class:`~repro.index.ann.CoarseIndex`
-    counters over the shared codes, so the pool view sums probe/fallback
-    counts and probe-weights the per-probe means; the shape fields
-    (``n_bags``/``n_bits``/...) are identical across workers and taken
-    from the first block seen.
-    """
-    if stats is None:
-        return merged
-    if merged is None:
-        merged = {
-            key: stats.get(key)
-            for key in ("n_bags", "n_bits", "n_tables", "band_bits")
-        }
-        merged.update(
-            probes=0, fallbacks=0, hit_rate=0.0,
-            mean_candidates=0.0, mean_evaluated=0.0, last=None,
-        )
-    probes = int(stats.get("probes", 0))
-    total = merged["probes"] + probes
-    if total:
-        for key in ("hit_rate", "mean_candidates", "mean_evaluated"):
-            merged[key] = (
-                merged[key] * merged["probes"]
-                + float(stats.get(key, 0.0)) * probes
-            ) / total
-    merged["probes"] = total
-    merged["fallbacks"] += int(stats.get("fallbacks", 0))
-    if stats.get("last") is not None:
-        merged["last"] = stats["last"]
-    return merged
-
-
 class WorkerDispatchApp:
     """The pool dressed as a :class:`~repro.serve.app.ServiceApp`.
 
@@ -1144,7 +1097,6 @@ class WorkerDispatchApp:
         """Aggregated stats: summed counters, pool shape, per-worker pids."""
         totals: dict[str, Any] = {}
         sessions: dict[str, Any] = {}
-        ann: dict[str, Any] | None = None
         per_worker = []
         for index, (status, payload) in enumerate(self._pool.broadcast("stats")):
             if status != 200:
@@ -1166,9 +1118,6 @@ class WorkerDispatchApp:
                 sessions[key] = sessions.get(key, 0) + session_stats.get(key, 0)
             for key in ("ttl_seconds", "max_sessions"):
                 sessions.setdefault(key, session_stats.get(key))
-            ann = _merge_ann_stats(ann, service_stats.get("ann"))
-        if ann is not None:
-            totals["ann"] = ann
         from repro.serve import codec
 
         return codec.envelope(

@@ -105,7 +105,7 @@ class TestEMDDTraining:
 
     def test_retrieval_quality_on_real_bags(self, tiny_scene_db):
         from repro.bags.bag import BagSet
-        from repro.core.retrieval import RetrievalEngine
+        from repro.core.retrieval import Ranker
         from repro.eval.metrics import average_precision
 
         bag_set = BagSet()
@@ -115,9 +115,7 @@ class TestEMDDTraining:
             bag_set.add(tiny_scene_db.bag_for(image_id, label=False))
         concept = EMDDTrainer(EMDDConfig(max_inner_iterations=60)).train(bag_set).concept
         examples = {bag.bag_id for bag in bag_set.bags}
-        ranking = RetrievalEngine().rank(
-            concept, tiny_scene_db.retrieval_candidates(), exclude=examples
-        )
+        ranking = Ranker().rank(concept, tiny_scene_db, exclude=examples)
         ap = average_precision(ranking.relevance("sunset"))
         base_rate = 3 / (len(tiny_scene_db) - 6)
         assert ap > base_rate + 0.1

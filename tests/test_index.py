@@ -1,20 +1,12 @@
-"""Unit tests for the batch retrieval index."""
+"""Ranking a featurised database through its cached packed view."""
 
 import numpy as np
 import pytest
 
 from repro.core.concept import LearnedConcept
-from repro.core.retrieval import RetrievalEngine
-from repro.database.index import StackedIndex
-from repro.errors import DatabaseError
+from repro.core.retrieval import Ranker, rank_by_loop
 from repro.imaging.features import FeatureConfig
 from repro.imaging.regions import region_family
-
-
-@pytest.fixture(scope="module")
-def indexed(tiny_scene_db_module):
-    database = tiny_scene_db_module
-    return database, StackedIndex(database)
 
 
 @pytest.fixture(scope="module")
@@ -35,72 +27,56 @@ def concept_for(database) -> LearnedConcept:
     return LearnedConcept(t=rng.normal(size=n_dims), w=rng.uniform(0.2, 1, n_dims), nll=0.0)
 
 
-class TestStackedIndex:
-    def test_shapes(self, indexed):
-        database, index = indexed
-        assert index.n_images == len(database)
-        assert index.n_dims == database.feature_config.n_dims
-        assert index.n_instances >= index.n_images
+class TestDatabasePackedView:
+    def test_shapes(self, tiny_scene_db_module):
+        database = tiny_scene_db_module
+        packed = database.packed()
+        assert packed.n_bags == len(database)
+        assert packed.n_dims == database.feature_config.n_dims
+        assert packed.n_instances >= packed.n_bags
 
-    def test_distances_match_per_bag(self, indexed):
-        database, index = indexed
+    def test_distances_match_per_bag(self, tiny_scene_db_module):
+        database = tiny_scene_db_module
+        packed = database.packed()
         concept = concept_for(database)
-        batch = index.distances(concept)
-        for position, image_id in enumerate(index.image_ids):
+        batch = packed.min_distances(concept)
+        for position, image_id in enumerate(packed.image_ids):
             expected = concept.bag_distance(database.instances_for(image_id))
             assert batch[position] == pytest.approx(expected, rel=1e-9)
 
-    def test_ranking_identical_to_engine(self, indexed):
-        database, index = indexed
+    def test_ranking_identical_to_loop(self, tiny_scene_db_module):
+        database = tiny_scene_db_module
         concept = concept_for(database)
-        batch = index.rank(concept)
-        reference = RetrievalEngine().rank(concept, database.retrieval_candidates())
+        batch = Ranker().rank(concept, database.packed())
+        reference = rank_by_loop(concept, database.retrieval_candidates())
         assert batch.image_ids == reference.image_ids
         np.testing.assert_allclose(batch.distances, reference.distances, rtol=1e-9)
 
-    def test_exclusion(self, indexed):
-        database, index = indexed
+    def test_exclusion(self, tiny_scene_db_module):
+        database = tiny_scene_db_module
         concept = concept_for(database)
-        skipped = index.image_ids[0]
-        result = index.rank(concept, exclude=[skipped])
+        skipped = database.image_ids[0]
+        result = Ranker().rank(concept, database.packed(), exclude=[skipped])
         assert skipped not in result.image_ids
-        assert len(result) == index.n_images - 1
+        assert len(result) == len(database) - 1
+        reference = rank_by_loop(
+            concept, database.retrieval_candidates(), exclude=[skipped]
+        )
+        assert result.image_ids == reference.image_ids
 
-    def test_subset_index(self, indexed):
-        database, _ = indexed
+    def test_subset_view(self, tiny_scene_db_module):
+        database = tiny_scene_db_module
         subset = database.ids_in_category("sunset")
-        index = StackedIndex(database, ids=subset)
-        assert index.n_images == len(subset)
         concept = concept_for(database)
-        result = index.rank(concept)
+        result = Ranker().rank(concept, database.packed(subset))
         assert set(result.image_ids) == set(subset)
+        reference = rank_by_loop(concept, database.retrieval_candidates(subset))
+        assert result.image_ids == reference.image_ids
 
-    def test_empty_ids_rejected(self, indexed):
-        database, _ = indexed
-        with pytest.raises(DatabaseError):
-            StackedIndex(database, ids=[])
-
-    def test_stale_index_dimension_mismatch(self, indexed):
-        database, index = indexed
-        wrong = LearnedConcept(t=np.zeros(4), w=np.ones(4), nll=0.0)
-        with pytest.raises(DatabaseError):
-            index.distances(wrong)
-
-    def test_repr(self, indexed):
-        _, index = indexed
-        assert "images" in repr(index)
-
-    def test_index_satisfies_the_corpus_protocol(self, indexed):
-        # packed() is a method, so the index itself can be ranked.
-        from repro.core.retrieval import Ranker
-
-        database, index = indexed
+    def test_database_satisfies_the_corpus_protocol(self, tiny_scene_db_module):
+        # The database offers packed(), so it can be ranked directly.
+        database = tiny_scene_db_module
         concept = concept_for(database)
-        via_index = Ranker().rank(concept, index)
+        via_database = Ranker().rank(concept, database)
         direct = Ranker().rank(concept, database.packed())
-        assert via_index.image_ids == direct.image_ids
-
-    def test_full_index_shares_the_database_cache(self, indexed):
-        database, _ = indexed
-        index = StackedIndex(database)
-        assert index.packed() is database.packed()
+        assert via_database.image_ids == direct.image_ids

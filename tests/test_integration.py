@@ -87,14 +87,15 @@ class TestSessionAgainstExperiment:
         session.add_examples("field", 2, 2)
         result = session.train_and_rank()
         # Re-rank manually with the same concept; must agree exactly.
-        from repro.core.retrieval import RetrievalEngine
+        from repro.core.retrieval import Ranker, rank_by_loop
 
-        manual = RetrievalEngine().rank(
-            session.concept,
-            tiny_scene_db.retrieval_candidates(),
-            exclude=set(session.positive_ids) | set(session.negative_ids),
-        )
+        examples = set(session.positive_ids) | set(session.negative_ids)
+        manual = Ranker().rank(session.concept, tiny_scene_db, exclude=examples)
         assert manual.image_ids == result.image_ids
+        oracle = rank_by_loop(
+            session.concept, tiny_scene_db.retrieval_candidates(), exclude=examples
+        )
+        assert manual.image_ids == oracle.image_ids
 
 
 class TestPersistenceRoundtripBehaviour:

@@ -277,3 +277,114 @@ class TestMalformedManifestTypes:
         np.savez_compressed(broken, **arrays)
         with pytest.raises(DatabaseError, match="malformed"):
             load_database(broken)
+
+
+def _snapshot_parts(path):
+    import json
+
+    with np.load(path) as archive:
+        manifest = json.loads(bytes(archive["manifest"]).decode("utf-8"))
+        arrays = {key: archive[key] for key in archive.files if key != "manifest"}
+    return manifest, arrays
+
+
+def _write_snapshot(path, manifest, arrays):
+    import json
+
+    arrays = dict(arrays)
+    arrays["manifest"] = np.frombuffer(
+        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
+    )
+    np.savez_compressed(path, **arrays)
+    return path
+
+
+class TestPersistenceV4:
+    """Format v4: the packed view's own (possibly reordered) bag order."""
+
+    def test_reordered_corpus_round_trips(self, tiny_scene_db, tmp_path):
+        packed = tiny_scene_db.packed()
+        reordered, _ = packed.reordered_by_centroid()
+        tiny_scene_db.adopt_packed(reordered)
+        try:
+            path = save_database(tiny_scene_db, tmp_path / "snap.npz")
+        finally:
+            # The session-scoped db must not leak the reordered view into
+            # other tests.
+            tiny_scene_db.adopt_packed(packed)
+        packed_back = load_database(path).cached_packed
+        assert packed_back.image_ids == reordered.image_ids
+        np.testing.assert_array_equal(packed_back.instances, reordered.instances)
+
+    def test_v3_snapshot_still_loads(self, tiny_scene_db, tmp_path):
+        from repro.database.persistence import SUPPORTED_VERSIONS
+
+        assert SUPPORTED_VERSIONS == (1, 2, 3, 4)
+        tiny_scene_db.packed()
+        manifest, arrays = _snapshot_parts(
+            save_database(tiny_scene_db, tmp_path / "snap.npz")
+        )
+        manifest["version"] = 3
+        manifest["packed"].pop("order", None)
+        restored = load_database(
+            _write_snapshot(tmp_path / "v3.npz", manifest, arrays)
+        )
+        assert restored.cached_packed is not None
+        assert restored.cached_packed.image_ids == tiny_scene_db.image_ids
+
+    def test_corrupt_bag_order_is_rejected(self, tiny_scene_db, tmp_path):
+        packed = tiny_scene_db.packed()
+        reordered, _ = packed.reordered_by_centroid()
+        tiny_scene_db.adopt_packed(reordered)
+        try:
+            path = save_database(tiny_scene_db, tmp_path / "snap.npz")
+        finally:
+            tiny_scene_db.adopt_packed(packed)
+        manifest, arrays = _snapshot_parts(path)
+        order_key = manifest["packed"]["order"]
+        arrays[order_key] = np.zeros_like(arrays[order_key])  # not a permutation
+        with pytest.raises(DatabaseError):
+            load_database(_write_snapshot(tmp_path / "bad.npz", manifest, arrays))
+
+    def test_legacy_ann_entry_is_ignored(self, tiny_scene_db, tmp_path):
+        """v4 files from writers that still had the hash-coded approximate
+        tier carry a ``packed.ann`` entry plus its arrays; they load and
+        rank exactly like the same snapshot without them."""
+        from repro.core.concept import LearnedConcept
+        from repro.core.retrieval import Ranker
+
+        packed = tiny_scene_db.packed()
+        reordered, _ = packed.reordered_by_centroid()
+        reordered.shard_index(2)
+        tiny_scene_db.adopt_packed(reordered)
+        try:
+            path = save_database(tiny_scene_db, tmp_path / "plain.npz")
+        finally:
+            tiny_scene_db.adopt_packed(packed)
+        manifest, arrays = _snapshot_parts(path)
+        rng = np.random.default_rng(0)
+        arrays["packed_ann_codes"] = rng.integers(
+            0, 2**63, size=(reordered.n_bags, 2), dtype=np.uint64
+        )
+        arrays["packed_ann_planes"] = rng.normal(size=(128, 3 * reordered.n_dims))
+        manifest["packed"]["ann"] = {
+            "codes": "packed_ann_codes",
+            "planes": "packed_ann_planes",
+            "n_bits": 128,
+            "n_tables": 4,
+            "band_bits": 16,
+        }
+        legacy = load_database(
+            _write_snapshot(tmp_path / "legacy.npz", manifest, arrays)
+        ).cached_packed
+        plain = load_database(path).cached_packed
+        assert legacy.image_ids == plain.image_ids
+        assert legacy.cached_shard_index is not None
+        concept = LearnedConcept(
+            t=plain.instances[3], w=np.linspace(0.5, 1.5, plain.n_dims), nll=0.0
+        )
+        for top_k in (None, 4):
+            expected = Ranker(min_shard_bags=1).rank(concept, plain, top_k=top_k)
+            got = Ranker(min_shard_bags=1).rank(concept, legacy, top_k=top_k)
+            assert got.image_ids == expected.image_ids
+            np.testing.assert_array_equal(got.distances, expected.distances)

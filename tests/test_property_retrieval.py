@@ -1,10 +1,10 @@
-"""Property-based tests of retrieval-engine invariants."""
+"""Property-based tests of :class:`~repro.core.retrieval.Ranker` invariants."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.concept import LearnedConcept
-from repro.core.retrieval import RetrievalCandidate, RetrievalEngine
+from repro.core.retrieval import Ranker, RetrievalCandidate
 
 
 @st.composite
@@ -31,7 +31,7 @@ def retrieval_case(draw):
 @settings(max_examples=150, deadline=None)
 def test_ranking_is_permutation_of_input(case):
     concept, candidates = case
-    result = RetrievalEngine().rank(concept, candidates)
+    result = Ranker().rank(concept, candidates)
     assert sorted(result.image_ids) == sorted(c.image_id for c in candidates)
 
 
@@ -39,7 +39,7 @@ def test_ranking_is_permutation_of_input(case):
 @settings(max_examples=150, deadline=None)
 def test_distances_sorted(case):
     concept, candidates = case
-    result = RetrievalEngine().rank(concept, candidates)
+    result = Ranker().rank(concept, candidates)
     distances = result.distances
     assert np.all(np.diff(distances) >= -1e-12)
 
@@ -50,8 +50,8 @@ def test_input_order_invariance(case, shuffle_seed):
     concept, candidates = case
     shuffled = list(candidates)
     np.random.default_rng(shuffle_seed).shuffle(shuffled)
-    original = RetrievalEngine().rank(concept, candidates)
-    reordered = RetrievalEngine().rank(concept, shuffled)
+    original = Ranker().rank(concept, candidates)
+    reordered = Ranker().rank(concept, shuffled)
     assert original.image_ids == reordered.image_ids
 
 
@@ -62,11 +62,11 @@ def test_exclusion_removes_only_excluded(case):
     if len(candidates) < 2:
         return
     excluded = candidates[0].image_id
-    result = RetrievalEngine().rank(concept, candidates, exclude=[excluded])
+    result = Ranker().rank(concept, candidates, exclude=[excluded])
     assert excluded not in result.image_ids
     assert len(result) == len(candidates) - 1
     # Relative order of the remaining images is unchanged.
-    full = RetrievalEngine().rank(concept, candidates)
+    full = Ranker().rank(concept, candidates)
     remaining = [i for i in full.image_ids if i != excluded]
     assert list(result.image_ids) == remaining
 
@@ -78,21 +78,18 @@ def test_uniform_weight_scaling_preserves_order(case, factor):
     scaled = LearnedConcept(
         t=concept.t, w=concept.w * factor, nll=concept.nll
     )
-    original = RetrievalEngine().rank(concept, candidates)
-    rescaled = RetrievalEngine().rank(scaled, candidates)
+    original = Ranker().rank(concept, candidates)
+    rescaled = Ranker().rank(scaled, candidates)
     assert original.image_ids == rescaled.image_ids
 
 
 @given(retrieval_case())
 @settings(max_examples=100, deadline=None)
 def test_batch_index_agrees_with_engine(case):
-    """The StackedIndex fast path must agree with the reference engine."""
-    from repro.core.retrieval import RetrievalResult
-
+    """The vectorised kernel must agree with a per-bag distance sort."""
     concept, candidates = case
-    reference = RetrievalEngine().rank(concept, candidates)
+    reference = Ranker().rank(concept, candidates)
 
-    # Emulate the index computation directly on the candidates.
     distances = np.array(
         [concept.bag_distance(c.instances) for c in candidates]
     )

@@ -13,6 +13,11 @@ computes it.  That makes exact distance ties — the hardest case for a
 pruning cutoff, since a tied bag may still win on the id tie-break —
 common rather than measure-zero, and makes cross-implementation
 comparisons exact instead of tolerance-based.
+
+Re-packing a corpus in clustered-centroid order
+(:meth:`~repro.core.retrieval.PackedCorpus.reordered_by_centroid`) must
+never change a ranking either, and the permutation's id sequence must be
+identical for any ingestion order of the same bags.
 """
 
 import numpy as np
@@ -25,7 +30,7 @@ from repro.core.retrieval import (
     RetrievalCandidate,
     rank_by_loop,
 )
-from repro.core.sharding import ShardIndex, ShardedRanker
+from repro.core.sharding import ShardIndex, ShardedRanker, centroid_order
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -190,3 +195,108 @@ def test_mutation_invalidates_the_cached_index():
     assert routed.image_ids == exhaustive.image_ids
     assert new_id in packed_after.image_ids
     assert packed_after.cached_shard_index is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), packed=corpora())
+def test_reordered_ranking_matches_exhaustive_and_loop(data, packed):
+    concept = data.draw(concepts_for(packed.n_dims))
+    n_bags = packed.n_bags
+    top_k = data.draw(
+        st.sampled_from([1, min(3, n_bags), n_bags, n_bags + 5, None])
+    )
+    group_size = data.draw(st.sampled_from([1, 2, 64]))
+    exclude = data.draw(st.sets(st.sampled_from(packed.image_ids)))
+    category_filter = data.draw(st.sampled_from([None, "a"]))
+
+    reordered, permutation = packed.reordered_by_centroid(
+        group_size=group_size
+    )
+    assert sorted(permutation.tolist()) == list(range(n_bags))
+    fast = Ranker().rank(
+        concept, reordered, top_k=top_k, exclude=exclude,
+        category_filter=category_filter,
+    )
+    exhaustive = Ranker(auto_shard=False).rank(
+        concept, packed, top_k=top_k, exclude=exclude,
+        category_filter=category_filter,
+    )
+    assert_same_ranking(fast, exhaustive)
+
+    # The loop reference has no top_k/filter; compare against its prefix.
+    survivors = [
+        c for c in packed.candidates()
+        if category_filter is None or c.category == category_filter
+    ]
+    loop = rank_by_loop(concept, survivors, exclude=exclude)
+    kept = len(fast)
+    assert fast.image_ids == loop.image_ids[:kept]
+    np.testing.assert_array_equal(fast.distances, loop.distances[:kept])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), packed=corpora())
+def test_centroid_order_ids_are_ingestion_order_independent(data, packed):
+    group_size = data.draw(st.sampled_from([1, 2, 64]))
+    shuffle = data.draw(st.permutations(range(packed.n_bags)))
+    shuffled = packed.select(
+        tuple(packed.image_ids[position] for position in shuffle)
+    )
+    ids_a = [
+        packed.image_ids[i]
+        for i in centroid_order(packed, group_size=group_size)
+    ]
+    ids_b = [
+        shuffled.image_ids[i]
+        for i in centroid_order(shuffled, group_size=group_size)
+    ]
+    assert ids_a == ids_b
+
+
+def clustered_packed(n_bags=240, n_dims=6, seed=7, shuffle_seed=None):
+    """A packed corpus of gaussian clusters, optionally shuffled."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-1.0, 1.0, size=(8, n_dims))
+    ids, cats, mats = [], [], []
+    for i in range(n_bags):
+        center = centers[i % len(centers)]
+        ids.append(f"img{i:05d}")
+        cats.append(f"cat{i % len(centers)}")
+        mats.append(center + rng.normal(0.0, 0.05, size=(4, n_dims)))
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(n_bags)
+        ids = [ids[j] for j in order]
+        cats = [cats[j] for j in order]
+        mats = [mats[j] for j in order]
+    return PackedCorpus.pack(ids, cats, mats)
+
+
+class TestCentroidReordering:
+    def test_permutation_is_id_stable_across_ingestion_orders(self):
+        a = clustered_packed()
+        b = clustered_packed(shuffle_seed=3)
+        ids_a = [a.image_ids[i] for i in centroid_order(a)]
+        ids_b = [b.image_ids[i] for i in centroid_order(b)]
+        assert ids_a == ids_b
+
+    def test_reordered_view_keeps_every_bag(self):
+        packed = clustered_packed()
+        reordered, permutation = packed.reordered_by_centroid()
+        assert sorted(reordered.image_ids) == sorted(packed.image_ids)
+        assert sorted(permutation.tolist()) == list(range(packed.n_bags))
+        np.testing.assert_array_equal(
+            reordered.bag_instances(packed.image_ids[5]),
+            packed.bag_instances(packed.image_ids[5]),
+        )
+
+    def test_reordered_ranking_is_ordering_identical(self):
+        packed = clustered_packed()
+        reordered, _ = packed.reordered_by_centroid()
+        concept = LearnedConcept(
+            t=np.full(packed.n_dims, 0.25), w=np.ones(packed.n_dims), nll=0.0
+        )
+        for top_k in (None, 7):
+            before = Ranker().rank(concept, packed, top_k=top_k)
+            after = Ranker().rank(concept, reordered, top_k=top_k)
+            assert before.image_ids == after.image_ids
+            np.testing.assert_array_equal(before.distances, after.distances)

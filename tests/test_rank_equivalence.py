@@ -176,14 +176,12 @@ class TestTieBreaking:
 
 
 class TestEngineDelegation:
-    """The compatibility RetrievalEngine must equal the reference loop too."""
+    """A plain candidate list (packed on the spot) must equal the loop too."""
 
     def test_engine_matches_loop(self, tiny_scene_db):
-        from repro.core.retrieval import RetrievalEngine
-
         candidates = tiny_scene_db.retrieval_candidates()
         concept = seeded_concepts(tiny_scene_db.feature_config.n_dims, 1)[0]
         assert_equivalent(
-            RetrievalEngine().rank(concept, candidates),
+            Ranker().rank(concept, candidates),
             rank_by_loop(concept, candidates),
         )

@@ -9,9 +9,9 @@ from repro.core.retrieval import (
     RankedImage,
     Ranker,
     RetrievalCandidate,
-    RetrievalEngine,
     RetrievalResult,
     packed_view,
+    rank_by_loop,
 )
 from repro.errors import DatabaseError
 
@@ -36,13 +36,22 @@ def corpus():
     ]
 
 
+def rank(concept, items, exclude=()):
+    """:class:`Ranker` over a candidate list, checked against the loop oracle."""
+    result = Ranker().rank(concept, items, exclude=exclude)
+    oracle = rank_by_loop(concept, items, exclude=exclude)
+    assert result.image_ids == oracle.image_ids
+    np.testing.assert_allclose(result.distances, oracle.distances, rtol=1e-12)
+    return result
+
+
 class TestEngine:
     def test_orders_by_min_instance_distance(self, corpus):
-        result = RetrievalEngine().rank(concept_at(np.zeros(2)), corpus)
+        result = rank(concept_at(np.zeros(2)), corpus)
         assert result.image_ids == ("closest", "close", "mid", "far")
 
     def test_distances_nondecreasing(self, corpus):
-        result = RetrievalEngine().rank(concept_at(np.zeros(2)), corpus)
+        result = rank(concept_at(np.zeros(2)), corpus)
         distances = result.distances
         assert np.all(np.diff(distances) >= -1e-12)
 
@@ -53,11 +62,11 @@ class TestEngine:
             candidate("one-good", "a", [0.0, 0.0], [9.0, 9.0], [9.0, -9.0]),
             candidate("all-okay", "b", [1.0, 1.0], [1.0, -1.0]),
         ]
-        result = RetrievalEngine().rank(concept_at(np.zeros(2)), items)
+        result = rank(concept_at(np.zeros(2)), items)
         assert result.image_ids[0] == "one-good"
 
     def test_exclude_removes_ids(self, corpus):
-        result = RetrievalEngine().rank(
+        result = rank(
             concept_at(np.zeros(2)), corpus, exclude=["closest", "far"]
         )
         assert result.image_ids == ("close", "mid")
@@ -67,7 +76,7 @@ class TestEngine:
             candidate("b", "x", [1.0, 0.0]),
             candidate("a", "x", [0.0, 1.0]),
         ]
-        result = RetrievalEngine().rank(concept_at(np.zeros(2)), items)
+        result = rank(concept_at(np.zeros(2)), items)
         assert result.image_ids == ("a", "b")
 
     def test_weighted_distance_respected(self):
@@ -78,23 +87,24 @@ class TestEngine:
             candidate("off-axis-0", "x", [0.5, 0.0]),
             candidate("off-axis-1", "x", [0.0, 0.5]),
         ]
-        result = RetrievalEngine().rank(concept, items)
+        result = rank(concept, items)
         assert result.image_ids[0] == "off-axis-1"
 
     def test_empty_corpus_gives_empty_result(self):
-        result = RetrievalEngine().rank(concept_at(np.zeros(2)), [])
+        result = rank(concept_at(np.zeros(2)), [])
         assert len(result) == 0
 
-    def test_duplicate_candidate_ids_still_rank(self):
-        # The columnar representation cannot hold duplicate ids; the
-        # compatibility engine falls back to the reference loop for them.
+    def test_duplicate_candidate_ids_raise_database_error(self):
+        # The columnar representation cannot hold duplicate ids.
         items = [
             candidate("twin", "x", [1.0, 0.0]),
             candidate("twin", "x", [0.0, 2.0]),
             candidate("solo", "x", [3.0, 3.0]),
         ]
-        result = RetrievalEngine().rank(concept_at(np.zeros(2)), items)
-        assert result.image_ids == ("twin", "twin", "solo")
+        with pytest.raises(DatabaseError, match="duplicate image ids"):
+            PackedCorpus.from_candidates(items)
+        with pytest.raises(DatabaseError, match="duplicate image ids"):
+            Ranker().rank(concept_at(np.zeros(2)), items)
 
 
 class TestPackedCorpus:

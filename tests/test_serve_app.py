@@ -211,6 +211,41 @@ class TestRankEndpoint:
         reference = service.query(query).ranking
         assert ranking.image_ids == reference.image_ids
 
+    def test_legacy_approx_rank_mode_field_gets_the_exact_ranking(
+        self, app, tiny_scene_db
+    ):
+        """Clients written while an approximate tier existed may still send
+        ``"rank_mode": "approx"``; the field is ignored and the answer is
+        the exact ranking."""
+        import numpy as np
+
+        from repro.core.concept import LearnedConcept
+        from repro.core.retrieval import Ranker
+
+        packed = tiny_scene_db.packed()
+        concept = LearnedConcept(
+            t=packed.instances[2], w=np.ones(packed.n_dims), nll=0.0
+        )
+        status, reply = handle_safely(
+            app,
+            "rank",
+            codec.envelope(
+                "rank",
+                {
+                    "concept": codec.encode_concept(concept),
+                    "top_k": 5,
+                    "rank_mode": "approx",
+                },
+            ),
+        )
+        assert status == 200
+        ranking = codec.decode_ranking(
+            codec.open_envelope(reply, "rank_result")["ranking"]
+        )
+        expected = Ranker(auto_shard=False).rank(concept, packed, top_k=5)
+        assert ranking.image_ids == expected.image_ids
+        assert ranking.distances.tolist() == expected.distances.tolist()
+
     def test_rank_needs_session_or_concept(self, app):
         with pytest.raises(CodecError, match="'session' token or a 'concept'"):
             app.rank(codec.envelope("rank", {"top_k": 3}))

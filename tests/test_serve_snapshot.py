@@ -178,6 +178,30 @@ class TestRoundTrip:
         assert restored.rank_index is False
         assert restored.rank_shards == 4
 
+    def test_saved_approx_rank_mode_is_ignored(self, warmed, tmp_path):
+        """Snapshots written while an approximate rank mode existed saved
+        it in the service block; they load and answer exactly."""
+        import json
+
+        import numpy as np
+
+        service, query, reference = warmed
+        info = save_service(service, tmp_path / "worker.npz")
+        with np.load(info.path) as payload:
+            arrays = {k: payload[k] for k in payload.files}
+        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+        manifest["service"]["rank_mode"] = "approx"
+        arrays["manifest"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
+        )
+        legacy = tmp_path / "legacy.npz"
+        np.savez_compressed(legacy, **arrays)
+        restored, _ = load_service(legacy)
+        assert restored.stats()["rank_index"]["mode"] == "exact"
+        result = restored.query(query)
+        assert restored.cache_stats.misses == 0
+        assert result.ranking.image_ids == reference.ranking.image_ids
+
     def test_extra_corpora_survive(self, tiny_scene_db, tmp_path):
         """A warmed colour corpus rides along and serves fit + rank."""
         service = RetrievalService(tiny_scene_db)

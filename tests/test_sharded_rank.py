@@ -284,6 +284,17 @@ class TestShardedRankerEquivalence:
                 seeded_concept(4), synthetic_packed(10, n_dims=4), top_k=0
             )
 
+    def test_wrong_dimension_concept_rejected_before_index_build(self):
+        packed = synthetic_packed(60, n_dims=4)
+        with pytest.raises(DatabaseError, match="dims"):
+            ShardedRanker().rank(seeded_concept(5), packed, top_k=4)
+        assert packed.cached_shard_index is None
+        with pytest.raises(DatabaseError, match="dims"):
+            ShardedRanker().fragment_candidates(
+                seeded_concept(5), packed, top_k=4, start=0, stop=30
+            )
+        assert packed.cached_shard_index is None
+
     def test_one_shot_exclude_iterator_survives_the_fallback(self):
         # top_k >= total routes to the exhaustive fallback, which must not
         # re-consume an already-exhausted exclude generator.
@@ -465,3 +476,24 @@ class TestServiceKnobs:
 
     def test_default_threshold_constant_is_sane(self):
         assert AUTO_SHARD_MIN_BAGS >= 1024
+
+
+class TestPoolCacheBound:
+    def test_shared_pool_cache_is_lru_bounded(self):
+        from repro.core import sharding
+
+        with sharding._POOL_LOCK:
+            before = dict(sharding._SHARED_POOLS)
+            sharding._SHARED_POOLS.clear()
+        try:
+            for workers in range(2, 2 + sharding.MAX_POOL_CACHE + 3):
+                sharding._shared_pool(workers)
+            with sharding._POOL_LOCK:
+                assert len(sharding._SHARED_POOLS) == sharding.MAX_POOL_CACHE
+                # Oldest entries were evicted, newest kept.
+                assert 2 not in sharding._SHARED_POOLS
+                assert (1 + sharding.MAX_POOL_CACHE + 3) in sharding._SHARED_POOLS
+        finally:
+            sharding._shutdown_shared_pools()
+            with sharding._POOL_LOCK:
+                sharding._SHARED_POOLS.update(before)
