@@ -16,7 +16,16 @@ Routes (all JSON, wire-enveloped)::
 
 Errors come back as enveloped ``error`` payloads with an HTTP status (400
 bad request, 404 unknown session, 500 bug); the client re-raises them as
-the matching :class:`~repro.errors.ReproError` subclass.
+the matching :class:`~repro.errors.ReproError` subclass.  That includes
+the replies ``http.server`` itself generates while parsing a request (a
+malformed request line, 414, 431, 501 for an unsupported method): they
+carry a :class:`~repro.errors.ServeError` envelope, not an HTML page, and
+close the connection.
+
+Every reply leaves in one socket write (status line, headers and body
+together) on a connection with ``TCP_NODELAY`` set.  Written separately
+on a Nagle socket, the body of a kept-alive reply would wait for the
+client to ACK the headers, and clients delay that ACK by ~40 ms.
 
 The server is intentionally a *worker*, not a load balancer: run one per
 core/host behind whatever fronting tier the deployment has, and start them
@@ -119,6 +128,10 @@ class _Handler(BaseHTTPRequestHandler):
     # connection closed instead of pinning this thread.  ReproServer
     # overrides the value per instance via the bound subclass.
     timeout = DEFAULT_READ_TIMEOUT
+    # TCP_NODELAY on every accepted socket (StreamRequestHandler sets it in
+    # setup()).  With Nagle on, a reply that follows a write the client has
+    # not yet ACKed waits out the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; a serving worker
     # should stay quiet unless asked.
@@ -139,8 +152,35 @@ class _Handler(BaseHTTPRequestHandler):
             # Tell the client explicitly; set when the connection cannot be
             # kept in sync (e.g. an undrainable request body).
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would flush the head in a write of its own; join it
+        # with the body instead so the reply is one send.  An HTTP/0.9
+        # reply has no head (the stdlib never buffers one for it).
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            head = b"".join(self._headers_buffer)
+            self._headers_buffer = []
+        if self.command == "HEAD":
+            # Only send_error answers HEAD (501); it keeps Content-Length
+            # but, like the stdlib reply, omits the body.
+            body = b""
+        self.wfile.write(head + body)
+
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """The stdlib parser's own error replies, as wire ``error`` envelopes.
+
+        ``http.server`` calls this for a malformed request line (400), an
+        overlong one (414), too many or too long headers (431) and a method
+        without a ``do_*`` handler (501).  Like the stdlib reply it closes
+        the connection: the rest of the request was never read.
+        """
+        short, _ = self.responses.get(code, ("???", "???"))
+        text = short if message is None else message
+        if explain is not None:
+            text = f"{text}: {explain}"
+        self.log_error("code %d, message %s", code, text)
+        self.close_connection = True
+        self._reply(code, error_payload(ServeError(text)))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         # The begin/end bracket feeds the server's drain accounting.  It

@@ -408,7 +408,8 @@ class WorkerPool:
         self._n_restarts = 0
         self._incarnations = [0] * n_workers
         self._stopped = False
-        self._fan_out: ThreadPoolExecutor | None = None
+        # One single-thread fragment queue per worker slot (see scatter).
+        self._fan_out: list[ThreadPoolExecutor] | None = None
         self.resilience = ResilienceStats()
         self.breaker = CircuitBreaker(
             n_workers,
@@ -825,17 +826,25 @@ class WorkerPool:
                 self.breaker.record_success(index)
             return status, reply
 
+        # Each worker slot has its own FIFO fragment queue, and a scatter
+        # enqueues all its fragments under the pool lock.  So a fragment
+        # never waits behind another worker's busy pipe while its own
+        # worker idles, and concurrent scatters reach every worker in the
+        # same order: the first one is answered after one fragment time,
+        # not after two.
         with self._lock:
             if self._fan_out is None:
-                self._fan_out = ThreadPoolExecutor(
-                    max_workers=len(self._workers),
-                    thread_name_prefix="repro-scatter",
-                )
-            executor = self._fan_out
-        futures = [
-            executor.submit(one, target, payload)
-            for target, payload in zip(targets, payloads)
-        ]
+                self._fan_out = [
+                    ThreadPoolExecutor(
+                        max_workers=1,
+                        thread_name_prefix=f"repro-scatter-{slot}",
+                    )
+                    for slot in range(len(self._workers))
+                ]
+            futures = [
+                self._fan_out[target].submit(one, target, payload)
+                for target, payload in zip(targets, payloads)
+            ]
         replies, failure = [], None
         for future in futures:
             try:
@@ -974,9 +983,9 @@ class WorkerPool:
             if self._stopped:
                 return
             self._stopped = True
-        if self._fan_out is not None:
-            self._fan_out.shutdown(wait=True)
-            self._fan_out = None
+        for queue in self._fan_out or ():
+            queue.shutdown(wait=True)
+        self._fan_out = None
         for worker in self._workers:
             worker.stop()
         self._workers = []

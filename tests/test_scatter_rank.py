@@ -4,6 +4,9 @@ across pool widths and a crash-and-restart mid-sequence."""
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +307,42 @@ class TestWorkerPoolScatter:
             assert status == 200, reply
             seen.update(int(p) for p in reply["positions"])
         assert seen  # both halves contributed disjoint positions
+
+    def test_fragment_does_not_wait_behind_a_busy_worker(self, apps, packed):
+        """An idle worker's fragment is answered while another worker's
+        pipe is busy with fragments queued behind it."""
+        pool = apps[2].pool
+        payload = codec.envelope(
+            "rank_fragment",
+            {
+                "concept": codec.encode_concept(_concept(packed)),
+                "top_k": 3,
+                "start": 0,
+                "stop": 48,
+            },
+        )
+        busy = pool._workers[0].lock
+        with ThreadPoolExecutor(max_workers=3) as callers:
+            busy.acquire()
+            try:
+                queued = [
+                    callers.submit(
+                        pool.scatter, "rank_fragment", [payload], workers=[0]
+                    )
+                    for _ in range(2)
+                ]
+                time.sleep(0.2)
+                idle = callers.submit(
+                    pool.scatter, "rank_fragment", [payload], workers=[1]
+                )
+                [(status, _)] = idle.result(timeout=10.0)
+                assert status == 200
+                assert not any(future.done() for future in queued)
+            finally:
+                busy.release()
+            for future in queued:
+                [(status, _)] = future.result(timeout=10.0)
+                assert status == 200
 
     def test_more_payloads_than_workers_rejected(self, apps, packed):
         pool = apps[1].pool

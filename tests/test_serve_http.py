@@ -202,6 +202,182 @@ class TestHttpErrors:
             server.start()
 
 
+class TestStdlibErrorReplies:
+    """Replies ``http.server`` generates itself carry wire envelopes."""
+
+    def _raw_reply(self, server, request: bytes):
+        import http.client
+        import socket
+
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            raw.sendall(request)
+            response = http.client.HTTPResponse(raw)
+            response.begin()
+            return response, response.read()
+
+    @pytest.mark.parametrize(
+        "raw_request, status, fragment",
+        [
+            (
+                b"PUT /v1/rank HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+                501,
+                "Unsupported method ('PUT')",
+            ),
+            (
+                b"GET /v1/health HTTP/1.1\r\nHost: x\r\n"
+                + b"".join(b"X-%d: y\r\n" % i for i in range(120))
+                + b"\r\n",
+                431,
+                "got more than 100 headers",
+            ),
+            (
+                b"GET /v1/health extra HTTP/1.1\r\nHost: x\r\n\r\n",
+                400,
+                "Bad request syntax",
+            ),
+        ],
+        ids=["unsupported-method", "too-many-headers", "malformed-request-line"],
+    )
+    def test_parser_error_is_an_envelope(self, server, raw_request, status, fragment):
+        response, body = self._raw_reply(server, raw_request)
+        assert response.status == status
+        assert response.getheader("Content-Type") == "application/json"
+        assert response.getheader("Connection") == "close"
+        assert response.getheader("Server") is not None
+        payload = json.loads(body)
+        assert payload["kind"] == "error"
+        assert payload["error"] == "ServeError"
+        assert fragment in payload["message"]
+
+    def test_head_error_reply_has_no_body(self, server):
+        import socket
+
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            raw.sendall(b"HEAD /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+            chunks = []
+            while chunk := raw.recv(65536):
+                chunks.append(chunk)
+        reply = b"".join(chunks)
+        assert reply.startswith(b"HTTP/1.1 501")
+        assert b"Content-Length: " in reply
+        assert reply.endswith(b"\r\n\r\n")
+
+    def test_http09_reply_is_a_bare_body(self, server):
+        import socket
+
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            # http.server reads a (here empty) header block even for 0.9.
+            raw.sendall(b"GET /v1/health\r\n\r\n")
+            chunks = []
+            while chunk := raw.recv(65536):
+                chunks.append(chunk)
+        assert json.loads(b"".join(chunks))["status"] == "ok"
+
+    def test_client_surfaces_a_typed_serve_error(self, client, monkeypatch):
+        # urllib only speaks GET/POST; force the method to reach the 501.
+        monkeypatch.setattr(urlrequest.Request, "get_method", lambda self: "PUT")
+        with pytest.raises(ServeError, match="Unsupported method"):
+            client.health()
+
+
+class TestStallFreeReplies:
+    """A reply leaves in one send on a TCP_NODELAY socket, so a kept-alive
+    client never waits out its own delayed ACK."""
+
+    @pytest.fixture()
+    def fresh_server(self, tiny_scene_db):
+        service = RetrievalService(tiny_scene_db)
+        with ReproServer(ServiceApp(service), port=0) as running:
+            yield running
+
+    def test_accepted_connection_has_tcp_nodelay(self, fresh_server):
+        import http.client
+        import socket
+
+        httpd = fresh_server._httpd
+        accepted = []
+        get_request = httpd.get_request
+
+        def recording_get_request():
+            conn, address = get_request()
+            accepted.append(conn)
+            return conn, address
+
+        httpd.get_request = recording_get_request
+        connection = http.client.HTTPConnection(
+            fresh_server.host, fresh_server.port, timeout=10
+        )
+        try:
+            connection.request("GET", "/v1/health")
+            connection.getresponse().read()
+            # Kept alive: the server side of the connection is still open.
+            (conn,) = accepted
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            connection.close()
+
+    def test_rank_reply_is_one_write(self, fresh_server, tiny_scene_db):
+        import numpy as np
+
+        from repro.core.concept import LearnedConcept
+
+        writes: list[bytes] = []
+
+        class CountingWriter:
+            def __init__(self, inner) -> None:
+                self._inner = inner
+
+            def write(self, data) -> int:
+                writes.append(bytes(data))
+                return self._inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        httpd = fresh_server._httpd
+        handler = httpd.RequestHandlerClass
+
+        class CountingHandler(handler):
+            def setup(self) -> None:
+                super().setup()
+                self.wfile = CountingWriter(self.wfile)
+
+        httpd.RequestHandlerClass = CountingHandler
+        packed = RetrievalService(tiny_scene_db).packed_database()
+        concept = LearnedConcept(
+            t=packed.instances[0], w=np.ones(packed.n_dims), nll=0.0
+        )
+        ranking = ReproClient(fresh_server.url).rank(concept=concept, top_k=3)
+        assert len(ranking) == 3
+        (reply,) = writes
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(body)["kind"] == "rank_result"
+
+    def test_keep_alive_round_trips_do_not_stall(self, fresh_server):
+        import http.client
+        import statistics
+        import time as time_module
+
+        connection = http.client.HTTPConnection(
+            fresh_server.host, fresh_server.port, timeout=10
+        )
+        try:
+            elapsed = []
+            for _ in range(30):
+                start = time_module.perf_counter()
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time_module.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        # A delayed-ACK stall costs ~40 ms per round trip; without it a
+        # health check takes well under a millisecond.
+        assert statistics.median(elapsed) < 0.020
+
+
 class TestSlowClients:
     """Slow-client (slowloris) protection: a dribbling or stalled client
     costs one bounded read timeout, never a wedged handler thread."""
