@@ -93,11 +93,6 @@ class RetrievalService:
             (oldest dropped first) so long-running servers do not leak
             memory; ``None`` keeps everything.  The lifetime query count
             survives trimming (see :meth:`stats`).
-        rank_index: allow ``top_k`` queries over large corpora to route
-            through the sharded bound-pruned rank index
-            (:mod:`repro.core.sharding`); rankings are identical either
-            way, so this is purely a performance knob.
-        rank_shards: pin the index's shard count (``None`` = automatic).
         reorder_bags: re-pack the database's corpus in clustered-centroid
             order at warm time
             (:meth:`~repro.core.retrieval.PackedCorpus.reordered_by_centroid`
@@ -110,14 +105,10 @@ class RetrievalService:
         database: ImageDatabase,
         cache_size: int | None = 128,
         max_history: int | None = 1000,
-        rank_index: bool = True,
-        rank_shards: int | None = None,
         reorder_bags: bool = False,
     ) -> None:
         if max_history is not None and max_history < 0:
             raise QueryError(f"max_history must be >= 0 or None, got {max_history}")
-        if rank_shards is not None and rank_shards < 1:
-            raise QueryError(f"rank_shards must be >= 1 or None, got {rank_shards}")
         self._database = database
         self._corpora: dict[str, Corpus] = {"region-bags": database}
         self._lock = threading.Lock()
@@ -125,8 +116,6 @@ class RetrievalService:
         self._max_history = max_history
         self._n_queries = 0
         self._cache = ConceptCache(cache_size) if cache_size else None
-        self._rank_index = bool(rank_index)
-        self._rank_shards = rank_shards
         self._reorder_bags = bool(reorder_bags)
 
     @property
@@ -145,16 +134,6 @@ class RetrievalService:
         if self._cache is None:
             return CacheStats(hits=0, misses=0, entries=0, max_entries=0)
         return self._cache.stats
-
-    @property
-    def rank_index(self) -> bool:
-        """Whether the sharded rank index may serve ``top_k`` queries."""
-        return self._rank_index
-
-    @property
-    def rank_shards(self) -> int | None:
-        """Pinned shard count for the rank index (``None`` = automatic)."""
-        return self._rank_shards
 
     @property
     def reorder_bags(self) -> bool:
@@ -183,7 +162,8 @@ class RetrievalService:
         ``history_len`` / ``max_history``, ``n_images`` / ``database_name``,
         ``corpus_keys`` (which bag corpora are warmed), the concept
         cache's ``hits`` / ``misses`` / ``hit_rate`` / ``entries`` /
-        ``max_entries``, and the ``rank_index`` policy.
+        ``max_entries``, and the ``rank_index`` layout (``mode`` and
+        ``reorder_bags``).
         """
         cache = self.cache_stats
         with self._lock:
@@ -200,8 +180,6 @@ class RetrievalService:
             "database_name": getattr(self._database, "name", ""),
             "corpus_keys": corpus_keys,
             "rank_index": {
-                "enabled": self._rank_index,
-                "shards": self._rank_shards,
                 # Kept for stats readers: every ranking is exact.
                 "mode": "exact",
                 "reorder_bags": self._reorder_bags,
@@ -266,7 +244,10 @@ class RetrievalService:
         Builds the corpus's cached packed view (the serving hot path ranks
         against it) — and, on corpora large enough for the bound-pruned
         rank path, the shard index too — so neither feature extraction nor
-        packing nor the index build is charged to the first query.  A
+        packing nor the index build is charged to the first query.  The
+        index is built by the rule :class:`~repro.core.retrieval.Ranker`
+        routes by: a view a cache owns, of at least
+        :data:`~repro.core.retrieval.AUTO_SHARD_MIN_BAGS` bags.  A
         ``reorder_bags`` service re-packs the view in clustered-centroid
         order first (adopted back into the adapter's cache, so every later
         caller sees the reordered view).
@@ -291,8 +272,11 @@ class RetrievalService:
                         self._database = packed
                         with self._lock:
                             self._corpora["region-bags"] = packed
-                if self._rank_index and packed.n_bags >= AUTO_SHARD_MIN_BAGS:
-                    packed.shard_index(self._rank_shards)
+                if (
+                    packed.rank_index_enabled
+                    and packed.n_bags >= AUTO_SHARD_MIN_BAGS
+                ):
+                    packed.shard_index()
         else:
             for image_id in self._database.image_ids:
                 corpus.instances_for(image_id)
@@ -377,19 +361,11 @@ class RetrievalService:
                 result still reports its ``total_candidates``.
             category_filter: rank only candidates of this category.
         """
-        if candidate_ids is None:
-            chosen: tuple[str, ...] | None = None
-            if not callable(getattr(fitted.corpus, "packed", None)):
-                # Legacy custom corpora only answer explicit id lists.
-                chosen = self._database.image_ids
-        else:
-            chosen = tuple(candidate_ids)
-            for image_id in chosen:
-                if image_id not in self._database:
-                    raise DatabaseError(f"unknown image id {image_id!r}")
+        chosen = None if candidate_ids is None else tuple(candidate_ids)
+        for image_id in chosen or ():
+            if image_id not in self._database:
+                raise DatabaseError(f"unknown image id {image_id!r}")
         packed = packed_view(fitted.corpus, chosen)
-        if isinstance(packed, PackedCorpus):
-            self.apply_rank_policy(packed)
         return fitted.model.rank(
             packed, exclude=exclude, top_k=top_k, category_filter=category_filter
         )
@@ -397,43 +373,19 @@ class RetrievalService:
     def packed_database(
         self, candidate_ids: Sequence[str] | None = None
     ) -> PackedCorpus:
-        """The database's packed view with this service's rank policy applied.
+        """The database's packed view.
 
         The one spelling of "give me the corpus the rank path scores"
         shared by the wire ``rank`` endpoint, the ``rank_fragment``
         scatter workers, and the scatter coordinator — all three must
-        score the *same* cached view under the *same* policy or their
-        results could diverge.  ``candidate_ids`` selects a subset view
-        (non-routable, see :func:`~repro.core.retrieval.packed_view`).
+        score the *same* cached view or their results could diverge.
+        ``candidate_ids`` selects a subset view (non-routable, see
+        :func:`~repro.core.retrieval.packed_view`).
         """
-        packed = packed_view(
+        return packed_view(
             self._database,
             None if candidate_ids is None else tuple(candidate_ids),
         )
-        if isinstance(packed, PackedCorpus):
-            self.apply_rank_policy(packed)
-        return packed
-
-    def apply_rank_policy(self, packed: PackedCorpus) -> None:
-        """Stamp this service's rank-index policy onto a packed view.
-
-        The policy travels with the corpus view, so the model's Ranker
-        routes (or refuses to route) accordingly.  Ephemeral views —
-        subset selections and legacy re-packs, discarded when the query
-        returns — arrive already non-routable
-        (:func:`~repro.core.retrieval.packed_view` disables the index on
-        every view no cache owns), and nothing here re-enables them.  The
-        policy is only stamped when it differs from the view's current
-        one, so a default-configured service never perturbs a view
-        another service over the same database configured explicitly.
-        """
-        if not self._rank_index and packed.rank_index_enabled:
-            packed.configure_rank_index(enabled=False)
-        if (
-            self._rank_shards is not None
-            and packed.rank_index_shards != self._rank_shards
-        ):
-            packed.configure_rank_index(n_shards=self._rank_shards)
 
     def query(self, query: Query) -> QueryResult:
         """Execute one query end to end (fit + rank + timing)."""

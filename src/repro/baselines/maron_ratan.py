@@ -83,8 +83,7 @@ class ColorCorpus:
     """Corpus adapter exposing SBN colour bags over an image database.
 
     Implements the :class:`~repro.core.feedback.Corpus` protocol
-    (``instances_for`` / ``category_of`` / ``packed`` /
-    ``retrieval_candidates``) so the standard feedback loop and the
+    (``instances_for`` / ``category_of`` / ``packed``) so the standard feedback loop and the
     vectorised :class:`~repro.core.retrieval.Ranker` run unmodified on
     colour features — both learner families share one fast path.
 
@@ -144,7 +143,7 @@ class ColorCorpus:
         )
 
     def retrieval_candidates(self, ids) -> list[RetrievalCandidate]:
-        """Per-image compatibility view (zero-copy over the SBN cache)."""
+        """Per-image view for the ``rank_by_loop`` oracle (zero-copy)."""
         return [
             RetrievalCandidate(
                 image_id=image_id,

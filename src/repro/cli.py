@@ -175,7 +175,10 @@ def _build_parser() -> argparse.ArgumentParser:
     info.add_argument("--db", required=True)
 
     serve = commands.add_parser(
-        "serve", help="serve the retrieval API over HTTP (repro.serve worker)"
+        "serve", help="serve the retrieval API over HTTP (repro.serve worker)",
+        description="Serve the retrieval API over HTTP.  Top-k rank queries "
+        "over a corpus of at least 4096 bags use the bound-pruned rank "
+        "index automatically; rankings are identical either way.",
     )
     source = serve.add_mutually_exclusive_group(required=True)
     source.add_argument("--db", help="database snapshot path (cold worker)")
@@ -200,9 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--warm", default="dd", metavar="LEARNERS",
                        help="comma-separated learner families whose corpora "
                        "to precompute before serving ('' skips warming)")
-    serve.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="shard count for the bound-pruned rank index "
-                       "(default: automatic, ~one shard per 16k images)")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="serve from N pre-forked worker processes sharing "
                             "one shared-memory corpus (1 = in-process)")
@@ -222,11 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-connection socket timeout on header and "
                             "body reads (slow-client protection; a stalled "
                             "body gets HTTP 408)")
-    serve.add_argument("--no-rank-index", dest="rank_index",
-                       action="store_false",
-                       help="rank exhaustively: never route top-k queries "
-                       "through the sharded rank index (rankings are "
-                       "identical either way)")
     serve.add_argument("--reorder", dest="reorder_bags", action="store_true",
                        help="re-pack the corpus in clustered-centroid order "
                        "at warm time (rankings identical; bound pruning "
@@ -326,6 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "build",
         help="build the bound-pruned rank index (optionally over a "
         "centroid-reordered corpus) into a v4 snapshot",
+        description="Build the bound-pruned rank index into a v4 snapshot. "
+        "The shard count is automatic (about one shard per 16k bags).",
     )
     index_build.add_argument("--db", required=True,
                              help="database snapshot path")
@@ -335,9 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="re-pack the corpus in clustered-centroid "
                              "order first (rankings identical; bound "
                              "pruning tightens)")
-    index_build.add_argument("--shards", type=int, default=None, metavar="N",
-                             help="shard count for the bound-pruned rank "
-                             "index (default: automatic)")
 
     index_inspect = index_commands.add_parser(
         "inspect", help="report what a snapshot's packed corpus carries"
@@ -570,8 +564,6 @@ def build_server(args: argparse.Namespace):
             args.corpus_dir,
             cache_size=args.cache_size,
             max_history=args.max_history,
-            rank_index=args.rank_index,
-            rank_shards=args.shards,
             reorder_bags=reorder_bags,
         )
         print(f"opened sharded corpus {info.path}: {info.n_images} bags")
@@ -580,8 +572,6 @@ def build_server(args: argparse.Namespace):
             args.snapshot,
             cache_size=args.cache_size,
             max_history=args.max_history,
-            rank_index=args.rank_index,
-            rank_shards=args.shards,
         )
         print(
             f"restored warm worker from {info.path.name}: {info.n_images} images, "
@@ -592,8 +582,6 @@ def build_server(args: argparse.Namespace):
             load_database(args.db),
             cache_size=args.cache_size,
             max_history=args.max_history,
-            rank_index=args.rank_index,
-            rank_shards=args.shards,
             reorder_bags=reorder_bags,
         )
     for learner in [name.strip() for name in args.warm.split(",") if name.strip()]:
@@ -802,7 +790,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
         packed, _ = packed.reordered_by_centroid()
         database.adopt_packed(packed)
         print(f"reordered {packed.n_bags} bags in clustered-centroid order")
-    index = packed.shard_index(args.shards)
+    index = packed.shard_index()
     path = save_database(database, Path(args.out))
     print(
         f"indexed {packed.n_bags} bags: rank index "

@@ -14,13 +14,10 @@ offering::
     instances_for(image_id) -> np.ndarray      # the image's bag instances
     category_of(image_id) -> str               # ground-truth label
     packed(ids) -> PackedCorpus                # columnar rankable view
-    retrieval_candidates(ids) -> Iterable[RetrievalCandidate]   # compat
 
-which :class:`~repro.database.store.ImageDatabase` implements.  The packed
-view is the canonical one — rankings run through the vectorised
-:class:`~repro.core.retrieval.Ranker`; legacy corpora offering only
-``retrieval_candidates`` are packed on the fly by
-:func:`~repro.core.retrieval.packed_view`.
+which :class:`~repro.database.store.ImageDatabase` implements.  Rankings
+run over the packed view through the vectorised
+:class:`~repro.core.retrieval.Ranker`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro.core.diverse_density import DiverseDensityTrainer, ExtraStart, Traini
 from repro.core.retrieval import (
     PackedCorpus,
     Ranker,
-    RetrievalCandidate,
     RetrievalResult,
     packed_view,
 )
@@ -56,10 +52,6 @@ class Corpus(Protocol):
 
     def packed(self, ids: Sequence[str] | None = None) -> PackedCorpus:
         """Columnar corpus view of the given images (all when ``None``)."""
-        ...  # pragma: no cover - protocol
-
-    def retrieval_candidates(self, ids: Sequence[str]) -> list[RetrievalCandidate]:
-        """Per-image compatibility view of the given images."""
         ...  # pragma: no cover - protocol
 
 

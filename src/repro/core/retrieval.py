@@ -31,10 +31,6 @@ import numpy as np
 from repro.core.concept import LearnedConcept
 from repro.errors import DatabaseError
 
-#: Distinguishes "argument omitted" from an explicit ``None`` in
-#: :meth:`PackedCorpus.configure_rank_index`.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class RetrievalCandidate:
@@ -116,7 +112,6 @@ class PackedCorpus:
         "_squared",
         "_shard_index",
         "_rank_index_enabled",
-        "_rank_index_shards",
     )
 
     def __init__(
@@ -162,7 +157,6 @@ class PackedCorpus:
         object.__setattr__(self, "_squared", None)
         object.__setattr__(self, "_shard_index", None)
         object.__setattr__(self, "_rank_index_enabled", True)
-        object.__setattr__(self, "_rank_index_shards", None)
 
     def __setattr__(self, name: str, value: object) -> None:  # immutability guard
         raise AttributeError("PackedCorpus is immutable")
@@ -234,9 +228,11 @@ class PackedCorpus:
 
         ``corpus`` may be a :class:`PackedCorpus` (returned as-is), an
         object offering ``packed()`` (the
-        :class:`~repro.core.feedback.Corpus` protocol), a legacy corpus
-        offering only ``retrieval_candidates()``, or a plain iterable of
-        :class:`RetrievalCandidate` items (packed on the spot).
+        :class:`~repro.core.feedback.Corpus` protocol), or a plain iterable
+        of :class:`RetrievalCandidate` items (packed on the spot).
+
+        Raises:
+            DatabaseError: for anything else.
         """
         return packed_view(corpus)
 
@@ -445,29 +441,21 @@ class PackedCorpus:
     # Rank index (repro.core.sharding)                                    #
     # ------------------------------------------------------------------ #
 
-    def shard_index(self, n_shards: int | None = None):
+    def shard_index(self):
         """The (cached) bound-pruning shard index over this corpus.
 
         Built lazily on first use — one min/max ``reduceat`` pass over the
-        stacked matrix — and cached on the corpus, so the build cost is
-        amortised across every subsequent query.  Because storage adapters
-        drop their packed view on mutation, a stale index can never survive
-        a database change.  Passing an explicit ``n_shards`` that differs
-        from the cached partition re-shards cheaply (the per-bag envelopes
-        are partition-independent).
+        stacked matrix, partitioned automatically
+        (:func:`~repro.core.sharding.shard_boundaries`) — and cached on the
+        corpus, so the build cost is amortised across every subsequent
+        query.  Because storage adapters drop their packed view on
+        mutation, a stale index can never survive a database change.
         """
         from repro.core.sharding import ShardIndex
 
-        index = self._shard_index
-        if n_shards is None:
-            n_shards = self._rank_index_shards
-        if index is None:
-            index = ShardIndex.build(self, n_shards=n_shards)
-            object.__setattr__(self, "_shard_index", index)
-        elif n_shards is not None and index.n_shards != n_shards:
-            index = index.reshard(n_shards)
-            object.__setattr__(self, "_shard_index", index)
-        return index
+        if self._shard_index is None:
+            object.__setattr__(self, "_shard_index", ShardIndex.build(self))
+        return self._shard_index
 
     @property
     def cached_shard_index(self):
@@ -506,57 +494,31 @@ class PackedCorpus:
         image_id)`` only — property-tested against ``rank_by_loop``);
         what changes is pruning efficiency, because consecutive bags now
         share tight group envelopes regardless of ingestion order.  The
-        reordered view inherits this view's rank policy; its shard-index
-        cache starts empty (the index is position-dependent).
+        reordered view inherits whether this view may route through the
+        rank index; its shard-index cache starts empty (the index is
+        position-dependent).
         """
         from repro.core.sharding import centroid_order
 
         permutation = centroid_order(self, group_size=group_size)
         ordered = self.select(tuple(self._id_array[permutation].tolist()))
-        ordered.configure_rank_index(
-            enabled=self._rank_index_enabled,
-            n_shards=self._rank_index_shards,
-        )
+        ordered.configure_rank_index(enabled=self._rank_index_enabled)
         return ordered, permutation
 
-    def configure_rank_index(
-        self,
-        *,
-        enabled: bool | None = None,
-        n_shards: "int | None" = _UNSET,
-    ) -> None:
-        """Set the serving policy for the bound-pruned rank index.
+    def configure_rank_index(self, *, enabled: bool) -> None:
+        """Allow or forbid routing this view through the rank index.
 
-        The policy travels with the corpus view (it is cache state, like
-        the squared-instance cache, not corpus data): ``enabled=False``
-        makes :class:`Ranker` rank this corpus exhaustively regardless of
-        size, ``n_shards`` pins the shard count the index is built with
-        (``None`` clears a pin back to automatic).  Omitted arguments
-        leave their part of the policy unchanged.
-
-        Raises:
-            DatabaseError: on a non-positive ``n_shards``.
+        Cache state, like the squared-instance cache, not corpus data:
+        :func:`packed_view` forbids it on every view no cache owns, so
+        :class:`Ranker` ranks those exhaustively instead of paying for a
+        throwaway index build.
         """
-        if enabled is not None:
-            object.__setattr__(self, "_rank_index_enabled", bool(enabled))
-        if n_shards is not _UNSET:
-            if n_shards is not None and n_shards < 1:
-                raise DatabaseError(f"n_shards must be >= 1, got {n_shards}")
-            object.__setattr__(
-                self,
-                "_rank_index_shards",
-                None if n_shards is None else int(n_shards),
-            )
+        object.__setattr__(self, "_rank_index_enabled", bool(enabled))
 
     @property
     def rank_index_enabled(self) -> bool:
         """Whether :class:`Ranker` may route this corpus through the index."""
         return self._rank_index_enabled
-
-    @property
-    def rank_index_shards(self) -> int | None:
-        """Pinned shard count for the rank index (``None`` = automatic)."""
-        return self._rank_index_shards
 
     def __repr__(self) -> str:
         return (
@@ -813,21 +775,23 @@ def _ephemeral_view(packed: PackedCorpus) -> PackedCorpus:
 
 
 def packed_view(corpus, ids: Sequence[str] | None = None) -> PackedCorpus:
-    """The best packed view a corpus offers for the given ids.
+    """The packed view a corpus offers for the given ids.
 
-    Accepts every corpus spelling: a :class:`PackedCorpus` (sub-selected
-    when ``ids`` is given), an object offering ``packed(ids)`` (answered
-    from its cache), a legacy corpus offering only
-    ``retrieval_candidates(ids)``, or a plain iterable of
-    :class:`RetrievalCandidate` items (``ids`` must be ``None``).
+    Accepts a :class:`PackedCorpus` (sub-selected when ``ids`` is given),
+    an object offering ``packed(ids)`` (answered from its cache), or a
+    plain iterable of :class:`RetrievalCandidate` items (``ids`` must be
+    ``None``).
 
-    Views this function creates that no adapter cache owns — id subsets,
-    legacy re-packs, raw-iterable packs — come back with the rank index
-    disabled (:meth:`PackedCorpus.configure_rank_index`): they are
-    discarded when the caller returns, so :class:`Ranker` must never
-    build a throwaway shard index on them.  Caller-held views (a
-    :class:`PackedCorpus` passed directly, an adapter's cached full view)
-    keep their own policy.
+    Views this function creates that no adapter cache owns — id subsets
+    and raw-iterable packs — come back with the rank index disabled
+    (:meth:`PackedCorpus.configure_rank_index`): they are discarded when
+    the caller returns, so :class:`Ranker` must never build a throwaway
+    shard index on them.  Caller-held views (a :class:`PackedCorpus`
+    passed directly, an adapter's cached full view) stay routable.
+
+    Raises:
+        DatabaseError: for a corpus offering neither ``packed()`` nor an
+            iterable of :class:`RetrievalCandidate` items.
     """
     if isinstance(corpus, PackedCorpus):
         if ids is None:
@@ -837,16 +801,18 @@ def packed_view(corpus, ids: Sequence[str] | None = None) -> PackedCorpus:
     if callable(packer):
         view = packer(ids)
         return view if ids is None else _ephemeral_view(view)
-    legacy = getattr(corpus, "retrieval_candidates", None)
-    if callable(legacy):
-        if ids is None:
-            # The legacy protocol took an explicit id list; recover the
-            # whole-corpus spelling from ``image_ids`` when offered.
-            all_ids = getattr(corpus, "image_ids", None)
-            if all_ids is not None:
-                ids = tuple(all_ids)
-        return _ephemeral_view(PackedCorpus.from_candidates(legacy(ids)))
-    return _ephemeral_view(PackedCorpus.from_candidates(corpus))
+    try:
+        items = list(corpus)
+    except TypeError:
+        items = None
+    if items is None or not all(
+        isinstance(item, RetrievalCandidate) for item in items
+    ):
+        raise DatabaseError(
+            f"cannot rank a {type(corpus).__name__}: a corpus must offer "
+            "packed() or be an iterable of RetrievalCandidate items"
+        )
+    return _ephemeral_view(PackedCorpus.from_candidates(items))
 
 
 #: Bag count above which :class:`Ranker` routes a ``top_k`` query through
@@ -932,8 +898,7 @@ class Ranker:
     every bag whose geometric lower bound proves it cannot enter the top
     ``k``.  The routed ranking is ordering-identical to the exhaustive one
     (the pruning bound is exact), so routing is purely a performance
-    decision.  A corpus view whose rank index is disabled
-    (:meth:`PackedCorpus.configure_rank_index`; every ephemeral view
+    decision.  A corpus view no cache owns (every ephemeral view
     :func:`packed_view` creates) is always ranked exhaustively, so no
     query pays for a throwaway index build.
 

@@ -215,9 +215,6 @@ class ShardIndex:
         extent: ``(d,)`` per-coordinate max absolute value over all bag
             envelopes — the corpus-magnitude input to :meth:`prune_floor`
             (derived on construction, never persisted).
-
-    The envelopes are partition-independent, so :meth:`reshard` changes the
-    fan-out width without touching the instance matrix.
     """
 
     __slots__ = (
@@ -270,8 +267,8 @@ class ShardIndex:
         self.boundaries = bounds
         self.group_size = int(group_size)
         if _derived is not None:
-            # Partition-independent derived arrays handed over by
-            # :meth:`reshard`, which must stay O(n_shards) as documented.
+            # Derived arrays handed over by a caller that already holds
+            # them (shared-memory attach), saving the O(n_bags x d) pass.
             self.group_lower, self.group_upper, self.extent = _derived
         elif lower.shape[0] == 0:
             self.group_lower = lower
@@ -316,22 +313,6 @@ class ShardIndex:
     def n_shards(self) -> int:
         """Number of shards in the partition."""
         return max(1, self.boundaries.size - 1)
-
-    def reshard(self, n_shards: int | None) -> "ShardIndex":
-        """The same envelopes under a different shard partition (cheap).
-
-        The per-bag and group envelopes plus the extent are partition
-        independent, so only the boundary offsets are recomputed —
-        O(n_shards), not O(n_bags x d).
-        """
-        return ShardIndex(
-            self.corpus,
-            self.lower,
-            self.upper,
-            shard_boundaries(self.n_bags, n_shards),
-            self.group_size,
-            _derived=(self.group_lower, self.group_upper, self.extent),
-        )
 
     def lower_bounds(self, concept: LearnedConcept) -> np.ndarray:
         """Exact per-bag lower bounds on the min weighted squared distance.
@@ -597,8 +578,10 @@ class ShardedRanker:
     surviving pool size) fall back to the exhaustive kernel.
 
     Args:
-        n_shards: shard count used when the corpus has no cached index
-            (``None`` = automatic, see :func:`shard_boundaries`).
+        n_shards: rank over a private index with this many shards, built
+            per call (``None`` uses the corpus's cached, automatically
+            partitioned index — the serving path).  Tests and benchmarks
+            use it to vary the partition; it never touches the cache.
         workers: thread-pool width; ``None`` fans out over the shared
             machine-sized pool (:func:`_shared_pool` — no per-query thread
             spawn on the serving hot path), an explicit width fans out
@@ -760,7 +743,11 @@ class ShardedRanker:
                 f"holds {packed.n_dims}"
             )
         if index is None:
-            index = packed.shard_index(self._n_shards)
+            index = (
+                packed.shard_index()
+                if self._n_shards is None
+                else ShardIndex.build(packed, n_shards=self._n_shards)
+            )
         elif index.corpus is not packed:
             # A same-shaped index over *different* instances would prune
             # silently wrong; the index carries its corpus, so identity is

@@ -9,8 +9,9 @@ the learning stack consumes:
 * ``packed(ids)`` — the canonical columnar
   :class:`~repro.core.retrieval.PackedCorpus` view (built once, cached,
   invalidated by mutation or reconfiguration),
-* ``retrieval_candidates(ids)`` — thin legacy per-image compatibility
-  view (zero-copy over the record caches).
+* ``retrieval_candidates(ids)`` — per-image view (zero-copy over the
+  record caches) feeding the :func:`~repro.core.retrieval.rank_by_loop`
+  reference ranking.
 
 The database owns one :class:`~repro.bags.generation.BagGenerator`; changing
 the feature configuration (:meth:`ImageDatabase.reconfigure`) invalidates all
@@ -263,11 +264,11 @@ class ImageDatabase:
     def retrieval_candidates(
         self, ids: Sequence[str] | None = None
     ) -> list[RetrievalCandidate]:
-        """Per-image compatibility view (zero-copy over the record caches).
+        """Per-image view (zero-copy over the record caches).
 
-        Kept with its full legacy contract — duplicate ids allowed, no
-        whole-database packing forced.  The ranking kernels consume
-        :meth:`packed` instead.
+        Duplicate ids are allowed and no whole-database packing is
+        forced.  It feeds the :func:`~repro.core.retrieval.rank_by_loop`
+        reference ranking; the ranking kernels consume :meth:`packed`.
 
         Args:
             ids: which images to include; all images when omitted.

@@ -158,8 +158,8 @@ def extract_rgb_by_loop(
 class RgbRegionCorpus:
     """Corpus adapter serving tripled-RGB region bags over a database.
 
-    Implements ``instances_for`` / ``category_of`` / ``packed`` /
-    ``retrieval_candidates`` so the standard
+    Implements ``instances_for`` / ``category_of`` / ``packed`` so the
+    standard
     :class:`~repro.core.feedback.FeedbackLoop` and the vectorised
     :class:`~repro.core.retrieval.Ranker` run on colour features.
     """
@@ -210,7 +210,7 @@ class RgbRegionCorpus:
         )
 
     def retrieval_candidates(self, ids) -> "list[RetrievalCandidate]":
-        """Per-image compatibility view (zero-copy over the feature cache)."""
+        """Per-image view for the ``rank_by_loop`` oracle (zero-copy)."""
         from repro.core.retrieval import RetrievalCandidate
 
         return [

@@ -192,31 +192,26 @@ class ServiceApp:
         ignored.
         """
         data = codec.open_envelope(payload, "rank")
-        top_k = data.get("top_k")
-        category_filter = data.get("category_filter")
+        fields = codec.rank_fields(data)
         token = data.get("session")
         if token is not None:
             session = self._sessions.get(str(token))
             ranking = session.rank(
-                data.get("candidate_ids"),
-                top_k=None if top_k is None else int(top_k),
-                category_filter=category_filter,
-                exclude=tuple(data.get("exclude", ())),
+                fields.candidate_ids,
+                top_k=fields.top_k,
+                category_filter=fields.category_filter,
+                exclude=fields.exclude,
             )
         elif data.get("concept") is not None:
             concept = codec.decode_concept(data["concept"])
-            candidate_ids = data.get("candidate_ids")
-            # packed_database applies the service's rank policy; subset
-            # views arrive non-routable (no throwaway shard index).
-            packed = self._service.packed_database(
-                None if candidate_ids is None else tuple(candidate_ids)
-            )
+            # Subset views arrive non-routable (no throwaway shard index).
+            packed = self._service.packed_database(fields.candidate_ids)
             ranking = Ranker().rank(
                 concept,
                 packed,
-                top_k=None if top_k is None else int(top_k),
-                exclude=tuple(data.get("exclude", ())),
-                category_filter=category_filter,
+                top_k=fields.top_k,
+                exclude=fields.exclude,
+                category_filter=fields.category_filter,
             )
         else:
             raise CodecError("rank payload needs a 'session' token or a 'concept'")
@@ -247,20 +242,17 @@ class ServiceApp:
                     f"rank_fragment payload needs an integer {field!r}, "
                     f"got {value!r}"
                 )
-        top_k = int(data["top_k"])
-        start = int(data["start"])
-        stop = int(data["stop"])
-        threshold = data.get("threshold")
+        fields = codec.rank_fields(data, "rank_fragment")
         positions, distances, n_evaluated = ShardedRanker().fragment_candidates(
             concept,
             self._service.packed_database(),
-            top_k=top_k,
-            start=start,
-            stop=stop,
-            exclude=tuple(data.get("exclude", ())),
-            category_filter=data.get("category_filter"),
-            initial_threshold=(
-                float("inf") if threshold is None else float(threshold)
+            top_k=int(data["top_k"]),
+            start=int(data["start"]),
+            stop=int(data["stop"]),
+            exclude=fields.exclude,
+            category_filter=fields.category_filter,
+            initial_threshold=codec.number_field(
+                data, "rank_fragment", "threshold", default=float("inf")
             ),
         )
         return codec.envelope(
@@ -284,24 +276,32 @@ class ServiceApp:
         so the client can continue the loop.
         """
         data = codec.open_envelope(payload, "feedback")
+        id_lists = {
+            name: codec.id_list_field(data, "feedback", name)
+            for name in (
+                "add_positive_ids", "add_negative_ids", "false_positive_ids"
+            )
+        }
+        top_k = codec.top_k_field(data, "feedback")
+        category_filter = codec.optional_str_field(
+            data, "feedback", "category_filter"
+        )
+        learner = codec.optional_str_field(data, "feedback", "learner")
+        params = codec.mapping_field(data, "feedback", "params")
         token = data.get("session")
         created = token is None
         if created:
-            params = data.get("params")
             token = self._sessions.create(
-                learner=str(data.get("learner", "dd")),
-                params=None if params is None else dict(params),
+                learner="dd" if learner is None else learner,
+                params=params,
             )
-        top_k = data.get("top_k")
         try:
             round_result = self._sessions.feedback_round(
                 str(token),
-                add_positive_ids=tuple(data.get("add_positive_ids", ())),
-                add_negative_ids=tuple(data.get("add_negative_ids", ())),
-                false_positive_ids=tuple(data.get("false_positive_ids", ())),
+                **id_lists,
                 rank=bool(data.get("rank", True)),
-                top_k=None if top_k is None else int(top_k),
-                category_filter=data.get("category_filter"),
+                top_k=top_k,
+                category_filter=category_filter,
             )
         except Exception:
             # A round that never succeeded should not leave an orphaned

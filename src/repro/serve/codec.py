@@ -25,7 +25,7 @@ Use the generic :func:`encode` / :func:`decode` pair (dispatch on type /
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,106 @@ def _field(payload: Mapping, kind: str, name: str) -> Any:
         raise CodecError(f"{kind} payload is missing field {name!r}") from None
 
 
-def _opt_tuple(value) -> tuple | None:
-    return None if value is None else tuple(value)
+def top_k_field(data: Mapping, kind: str) -> int | None:
+    """``top_k`` as a positive int (never a bool, a float or a string) or None."""
+    value = data.get("top_k")
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or value < 1
+    ):
+        raise CodecError(
+            f"{kind} payload needs 'top_k' as a positive integer or null, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def id_list_field(
+    data: Mapping, kind: str, name: str, *, nullable: bool = False
+) -> tuple[str, ...] | None:
+    """An image-id list as a tuple of strings (a bare string is refused).
+
+    Missing or ``null`` reads as ``None`` when ``nullable`` ("all images"),
+    else as the empty tuple.
+    """
+    value = data.get(name)
+    if value is None:
+        return None if nullable else ()
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise CodecError(
+            f"{kind} payload needs {name!r} as a list of image-id strings, "
+            f"got {value!r}"
+        )
+    return tuple(value)
+
+
+def optional_str_field(data: Mapping, kind: str, name: str) -> str | None:
+    """An optional string field (``category_filter``, ``learner``, ...)."""
+    value = data.get(name)
+    if value is not None and not isinstance(value, str):
+        raise CodecError(
+            f"{kind} payload needs {name!r} as a string or null, got {value!r}"
+        )
+    return value
+
+
+def mapping_field(data: Mapping, kind: str, name: str) -> dict | None:
+    """An optional object field (``params``, ``metadata``) as a dict."""
+    value = data.get(name)
+    if value is not None and not isinstance(value, Mapping):
+        raise CodecError(
+            f"{kind} payload needs {name!r} as an object or null, got {value!r}"
+        )
+    return None if value is None else dict(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number_field(
+    data: Mapping, kind: str, name: str, default: float | None = None
+) -> float:
+    """A numeric field as a float; ``default`` replaces a missing/null one."""
+    value = data.get(name)
+    if value is None and default is not None:
+        return default
+    if not _is_number(value):
+        raise CodecError(
+            f"{kind} payload needs {name!r} as a number, got {value!r}"
+        )
+    return float(value)
+
+
+def _vector_field(data: Mapping, kind: str, name: str) -> np.ndarray:
+    value = _field(data, kind, name)
+    if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+        raise CodecError(
+            f"{kind} payload needs {name!r} as a list of numbers, "
+            f"got {value!r}"
+        )
+    return np.asarray(value, dtype=np.float64)
+
+
+class RankFields(NamedTuple):
+    """The type-checked ranking controls of a ``rank`` request."""
+
+    top_k: int | None
+    candidate_ids: tuple[str, ...] | None
+    exclude: tuple[str, ...]
+    category_filter: str | None
+
+
+def rank_fields(data: Mapping, kind: str = "rank") -> RankFields:
+    """Decode a request's ranking controls; every helper here raises
+    :class:`~repro.errors.CodecError` on a wrongly typed field."""
+    return RankFields(
+        top_k=top_k_field(data, kind),
+        candidate_ids=id_list_field(data, kind, "candidate_ids", nullable=True),
+        exclude=id_list_field(data, kind, "exclude"),
+        category_filter=optional_str_field(data, kind, "category_filter"),
+    )
 
 
 def deadline_ms_field(payload: Any) -> float | None:
@@ -149,16 +247,20 @@ def encode_query(query: Query) -> dict:
 
 
 def decode_query(payload: Any) -> Query:
-    """Decode a ``query`` payload (validation is the Query's own)."""
+    """Decode a ``query`` payload (types here, meaning in the Query)."""
     data = open_envelope(payload, "query")
+    _field(data, "query", "positive_ids")  # required, unlike the other lists
+    learner = optional_str_field(data, "query", "learner")
     return Query(
-        positive_ids=tuple(_field(data, "query", "positive_ids")),
-        negative_ids=tuple(data.get("negative_ids", ())),
-        learner=str(data.get("learner", "dd")),
-        params=dict(data.get("params", {})),
-        candidate_ids=_opt_tuple(data.get("candidate_ids")),
-        top_k=data.get("top_k"),
-        category_filter=data.get("category_filter"),
+        positive_ids=id_list_field(data, "query", "positive_ids"),
+        negative_ids=id_list_field(data, "query", "negative_ids"),
+        learner="dd" if learner is None else learner,
+        params=mapping_field(data, "query", "params") or {},
+        candidate_ids=id_list_field(
+            data, "query", "candidate_ids", nullable=True
+        ),
+        top_k=top_k_field(data, "query"),
+        category_filter=optional_str_field(data, "query", "category_filter"),
         query_id=str(data.get("query_id", "")),
     )
 
@@ -246,14 +348,14 @@ def encode_concept(concept: LearnedConcept) -> dict:
 
 
 def decode_concept(payload: Any) -> LearnedConcept:
-    """Decode a ``concept`` payload."""
+    """Decode a ``concept`` payload (flat numeric ``t`` / ``w``)."""
     data = open_envelope(payload, "concept")
     return LearnedConcept(
-        t=np.asarray(_field(data, "concept", "t"), dtype=np.float64),
-        w=np.asarray(_field(data, "concept", "w"), dtype=np.float64),
-        nll=float(_field(data, "concept", "nll")),
-        scheme=str(data.get("scheme", "")),
-        metadata=dict(data.get("metadata", {})),
+        t=_vector_field(data, "concept", "t"),
+        w=_vector_field(data, "concept", "w"),
+        nll=number_field(data, "concept", "nll"),
+        scheme=optional_str_field(data, "concept", "scheme") or "",
+        metadata=mapping_field(data, "concept", "metadata") or {},
     )
 
 

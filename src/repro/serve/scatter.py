@@ -51,7 +51,13 @@ from repro.core.retrieval import (
     top_order,
 )
 from repro.core.sharding import seed_threshold
-from repro.errors import DeadlineError, ReproError, ServeError, SessionError
+from repro.errors import (
+    CodecError,
+    DeadlineError,
+    ReproError,
+    ServeError,
+    SessionError,
+)
 from repro.serve import codec
 from repro.serve.app import error_payload
 from repro.serve.resilience import Deadline
@@ -147,8 +153,10 @@ class ScatterRanker:
             return False
         if payload.get("candidate_ids") is not None:
             return False
-        top_k = payload.get("top_k")
-        if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
+        try:
+            if codec.rank_fields(payload).top_k is None:
+                return False
+        except CodecError:
             return False
         try:
             packed = self._service.packed_database()
@@ -239,17 +247,13 @@ class ScatterRanker:
                 "coordinator-side"
             )
         concept = codec.decode_concept(data["concept"])
-        top_k = data.get("top_k")
-        candidate_ids = data.get("candidate_ids")
-        packed = self._service.packed_database(
-            None if candidate_ids is None else tuple(candidate_ids)
-        )
+        fields = codec.rank_fields(data)
         ranking = Ranker().rank(
             concept,
-            packed,
-            top_k=None if top_k is None else int(top_k),
-            exclude=tuple(data.get("exclude", ())),
-            category_filter=data.get("category_filter"),
+            self._service.packed_database(fields.candidate_ids),
+            top_k=fields.top_k,
+            exclude=fields.exclude,
+            category_filter=fields.category_filter,
         )
         return codec.envelope(
             "rank_result", {"ranking": codec.encode_ranking(ranking)}
@@ -269,13 +273,11 @@ class ScatterRanker:
             raise _Delegate()
         concept = codec.decode_concept(data["concept"])
         try:
-            top_k = int(data["top_k"])
-        except (KeyError, TypeError, ValueError):
+            top_k, _, exclude, category_filter = codec.rank_fields(data)
+        except CodecError:
             raise _Delegate() from None
-        if top_k < 1:
+        if top_k is None:
             raise _Delegate()
-        exclude = tuple(data.get("exclude", ()))
-        category_filter = data.get("category_filter")
         packed = self._service.packed_database()
         keep = keep_mask(packed, exclude, category_filter)
         total = int(np.count_nonzero(keep))

@@ -180,8 +180,6 @@ class SharedPackedCorpus:
             "index": None if index is None else {
                 "group_size": int(index.group_size),
             },
-            "rank_index_enabled": bool(packed.rank_index_enabled),
-            "rank_index_shards": packed.rank_index_shards,
         }
         shared = cls(shm, spec, owner=True)
         for key, array in plan:
@@ -292,10 +290,6 @@ class SharedPackedCorpus:
         object.__setattr__(packed, "_category_array", category_array)
         if "squared" in self._spec.get("arrays", {}):
             object.__setattr__(packed, "_squared", self._view("squared"))
-        packed.configure_rank_index(
-            enabled=bool(self._spec.get("rank_index_enabled", True)),
-            n_shards=self._spec.get("rank_index_shards"),
-        )
         index_info = self._spec.get("index")
         if index_info is not None:
             derived_keys = (

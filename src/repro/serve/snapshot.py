@@ -188,8 +188,6 @@ def load_service(
     *,
     cache_size: int | None = 128,
     max_history: int | None = None,
-    rank_index: bool = True,
-    rank_shards: int | None = None,
 ) -> tuple[RetrievalService, SnapshotInfo]:
     """Restore a warm service from a snapshot.
 
@@ -203,9 +201,6 @@ def load_service(
         cache_size: concept-cache capacity of the restored service
             (``0``/``None`` disables it — cached concepts are then dropped).
         max_history: history bound; ``None`` keeps the saved service's.
-        rank_index: allow the sharded bound-pruned rank index; snapshotted
-            indexes are restored either way (they are inert when disabled).
-        rank_shards: pin the restored service's shard count.
 
     Returns:
         ``(service, info)`` — the service answers a repeated query without
@@ -243,8 +238,6 @@ def load_service(
             database,
             cache_size=cache_size,
             max_history=max_history,
-            rank_index=rank_index,
-            rank_shards=rank_shards,
         )
         if database.cached_packed is not None:
             # Snapshots written before database format v3 carried the
@@ -296,8 +289,6 @@ def load_corpus_service(
     *,
     cache_size: int | None = 128,
     max_history: int | None = 1000,
-    rank_index: bool = True,
-    rank_shards: int | None = None,
     reorder_bags: bool = False,
     verify: bool = True,
 ) -> tuple[RetrievalService, SnapshotInfo]:
@@ -306,13 +297,12 @@ def load_corpus_service(
     The directory is a ``repro synth generate`` output
     (:class:`~repro.datasets.synth.store.ShardedCorpusReader` layout).  Its
     packed view becomes the service's database stand-in: ranking, the
-    concept cache, ``batch_query`` and the rank-index policy all work
-    unchanged; only pixel-level operations (there are no pixels) do not.
+    concept cache, ``batch_query`` and the rank index all work unchanged;
+    only pixel-level operations (there are no pixels) do not.
 
     Args:
         path: the corpus directory.
-        cache_size / max_history / rank_index / rank_shards /
-            reorder_bags: as
+        cache_size / max_history / reorder_bags: as
             :class:`~repro.api.service.RetrievalService`.
         verify: re-checksum every shard while building the packed view.
 
@@ -331,8 +321,6 @@ def load_corpus_service(
         packed,
         cache_size=cache_size,
         max_history=max_history,
-        rank_index=rank_index,
-        rank_shards=rank_shards,
         reorder_bags=reorder_bags,
     )
     return service, SnapshotInfo(

@@ -133,8 +133,6 @@ def _worker_main(conn, specs: dict, knobs: dict) -> None:
             database,
             cache_size=knobs.get("cache_size", 128),
             max_history=knobs.get("max_history", 1000),
-            rank_index=knobs.get("rank_index", True),
-            rank_shards=knobs.get("rank_shards"),
             # Any bag reordering already happened parent-side (the shared
             # segment carries the reordered corpus), so reorder_bags stays
             # off in workers.
@@ -464,7 +462,6 @@ class WorkerPool:
         shared: dict[str, SharedPackedCorpus] = {}
         try:
             packed = packed_view(service.database)
-            service.apply_rank_policy(packed)
             if (
                 packed.rank_index_enabled
                 and packed.n_bags >= AUTO_SHARD_MIN_BAGS
@@ -474,7 +471,7 @@ class WorkerPool:
                 # (including the derived group envelopes) ride the shared
                 # segment — N workers adopt zero-copy views instead of
                 # each paying an O(n_bags x d) rebuild on first query.
-                packed.shard_index(service.rank_shards)
+                packed.shard_index()
             shared[_DATABASE_KEY] = SharedPackedCorpus.create(
                 packed, share_squares=share_squares
             )
@@ -498,8 +495,6 @@ class WorkerPool:
             knobs = {
                 "cache_size": service.cache_stats.max_entries or None,
                 "max_history": service.max_history,
-                "rank_index": service.rank_index,
-                "rank_shards": service.rank_shards,
                 "cache_entries": cache_entries,
                 "session_ttl": session_ttl,
                 "max_sessions": max_sessions,

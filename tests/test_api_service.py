@@ -86,10 +86,10 @@ class TestSingleQuery:
             assert len(result.ranking) == 4, learner
             assert result.total_candidates == len(tiny_scene_db) - 6, learner
 
-    def test_legacy_custom_corpus_ranks_whole_database(self, tiny_scene_db):
-        # A user learner whose corpus only implements the legacy protocol
-        # (explicit-id retrieval_candidates, no packed()) must still serve
-        # the default whole-database query.
+    def test_legacy_custom_corpus_raises_typed_error(self, tiny_scene_db):
+        # A user learner whose corpus only implements the old protocol
+        # (retrieval_candidates, no packed()) fits, then fails the rank
+        # with a typed error naming packed() instead of an AttributeError.
         from repro.api.learners import (
             DiverseDensityLearner,
             register_learner,
@@ -129,10 +129,10 @@ class TestSingleQuery:
         register_learner("legacy-corpus-dd", LegacyCorpusLearner,
                          overwrite=True)
         service = RetrievalService(tiny_scene_db)
-        result = service.query(
-            _waterfall_query(tiny_scene_db, learner="legacy-corpus-dd")
-        )
-        assert len(result.ranking) == len(tiny_scene_db) - 6
+        with pytest.raises(DatabaseError, match=r"packed\(\)"):
+            service.query(
+                _waterfall_query(tiny_scene_db, learner="legacy-corpus-dd")
+            )
 
     def test_every_learner_rejects_non_positive_top_k(self, service, tiny_scene_db):
         # The Query validates top_k itself; the model-level check keeps the

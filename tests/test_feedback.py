@@ -9,7 +9,7 @@ from repro.core.feedback import (
     FeedbackLoop,
     select_examples,
 )
-from repro.core.retrieval import RetrievalCandidate
+from repro.core.retrieval import PackedCorpus
 from repro.errors import TrainingError
 
 
@@ -40,13 +40,13 @@ class ToyCorpus:
     def category_of(self, image_id: str) -> str:
         return self._items[image_id][0]
 
-    def retrieval_candidates(self, ids):
-        return [
-            RetrievalCandidate(
-                image_id=i, category=self.category_of(i), instances=self.instances_for(i)
-            )
-            for i in ids
-        ]
+    def packed(self, ids=None):
+        chosen = self.ids if ids is None else tuple(ids)
+        return PackedCorpus.pack(
+            chosen,
+            [self.category_of(i) for i in chosen],
+            [self.instances_for(i) for i in chosen],
+        )
 
 
 @pytest.fixture()

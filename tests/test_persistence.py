@@ -184,6 +184,39 @@ class TestRankIndexRoundTrip:
         index = packed.shard_index()  # build + cache the envelopes
         return database, packed, index
 
+    def test_pinned_shard_count_index_loads_and_ranks_exactly(
+        self, tiny_scene_db, tmp_path
+    ):
+        """v4 files written while callers could pin the shard count carry
+        that partition; it loads as persisted and ranks like the loop."""
+        from repro.core.concept import LearnedConcept
+        from repro.core.retrieval import Ranker, rank_by_loop
+        from repro.core.sharding import ShardIndex
+
+        packed = tiny_scene_db.packed()
+        pinned = packed.select(packed.image_ids)
+        pinned.adopt_shard_index(ShardIndex.build(pinned, n_shards=3))
+        tiny_scene_db.adopt_packed(pinned)
+        try:
+            path = save_database(tiny_scene_db, tmp_path / "pinned.npz")
+        finally:
+            tiny_scene_db.adopt_packed(packed)
+        restored = load_database(path)
+        view = restored.cached_packed
+        adopted = view.cached_shard_index
+        assert adopted is not None and adopted.n_shards == 3
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            concept = LearnedConcept(
+                t=view.instances[rng.integers(view.n_instances)],
+                w=rng.uniform(0.1, 1.0, view.n_dims),
+                nll=0.0,
+            )
+            routed = Ranker(min_shard_bags=1).rank(concept, view, top_k=7)
+            assert view.cached_shard_index is adopted  # the persisted one
+            reference = rank_by_loop(concept, restored.retrieval_candidates())
+            assert routed.image_ids == reference.image_ids[:7]
+
     def test_index_survives_roundtrip(self, tmp_path):
         database, _, index_before = self._warm_db_with_index()
         restored = load_database(save_database(database, tmp_path / "v3.npz"))
@@ -352,10 +385,11 @@ class TestPersistenceV4:
         rank exactly like the same snapshot without them."""
         from repro.core.concept import LearnedConcept
         from repro.core.retrieval import Ranker
+        from repro.core.sharding import ShardIndex
 
         packed = tiny_scene_db.packed()
         reordered, _ = packed.reordered_by_centroid()
-        reordered.shard_index(2)
+        reordered.adopt_shard_index(ShardIndex.build(reordered, n_shards=2))
         tiny_scene_db.adopt_packed(reordered)
         try:
             path = save_database(tiny_scene_db, tmp_path / "plain.npz")

@@ -174,7 +174,7 @@ def test_mutation_invalidates_the_cached_index():
         ),
     )
     packed_before = database.packed()
-    index_before = packed_before.shard_index(2)
+    index_before = packed_before.shard_index()
     assert packed_before.cached_shard_index is index_before
 
     rng = np.random.default_rng(0)

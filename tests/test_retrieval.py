@@ -217,7 +217,9 @@ class TestPackedCorpus:
         assert from_list.image_ids == tuple(c.image_id for c in corpus)
         assert PackedCorpus.coerce(from_list) is from_list
 
-    def test_packed_view_falls_back_to_candidates(self):
+    def test_legacy_only_corpus_raises_typed_error(self):
+        # A corpus offering only retrieval_candidates() (no packed()) is
+        # no longer re-packed; every rank entry point names packed().
         class LegacyCorpus:
             def retrieval_candidates(self, ids):
                 return [
@@ -227,8 +229,13 @@ class TestPackedCorpus:
                     for i in ids
                 ]
 
-        packed = packed_view(LegacyCorpus(), ["p", "q"])
-        assert packed.image_ids == ("p", "q")
+        concept = LearnedConcept(t=np.zeros(2), w=np.ones(2), nll=0.0)
+        with pytest.raises(DatabaseError, match=r"packed\(\)"):
+            packed_view(LegacyCorpus(), ["p", "q"])
+        with pytest.raises(DatabaseError, match=r"packed\(\)"):
+            Ranker().rank(concept, LegacyCorpus(), top_k=1)
+        with pytest.raises(DatabaseError, match=r"packed\(\)"):
+            PackedCorpus.coerce(["not", "candidates"])
 
     def test_packed_view_selects_from_packed_corpus(self):
         packed = self.make_packed()

@@ -18,6 +18,7 @@ from repro.core.retrieval import Ranker, build_result, keep_mask, rank_by_loop, 
 from repro.core.sharding import (
     SEED_SAMPLE_BAGS,
     ShardedRanker,
+    ShardIndex,
     _shared_pool,
     seed_threshold,
 )
@@ -41,7 +42,11 @@ _CONFIG = ScenarioConfig(
 
 @pytest.fixture(scope="module")
 def packed():
-    return corpus_from_config(_CONFIG)
+    corpus = corpus_from_config(_CONFIG)
+    # 48 bags partition into one shard automatically; four shards give
+    # every pool width below something to scatter.
+    corpus.adopt_shard_index(ShardIndex.build(corpus, n_shards=4))
+    return corpus
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +106,7 @@ class TestSharedPools:
 
 class TestSeedThreshold:
     def test_seed_is_safe_overestimate_of_kth_best(self, packed):
-        index = packed.shard_index(4)
+        index = ShardIndex.build(packed, n_shards=4)
         keep = keep_mask(packed, (), None)
         exact = np.sort(packed.min_distances(_concept(packed)))
         for top_k in (1, 3, 10):
@@ -110,7 +115,7 @@ class TestSeedThreshold:
             assert seed >= exact[top_k - 1]
 
     def test_seed_respects_keep_mask(self, packed):
-        index = packed.shard_index(4)
+        index = ShardIndex.build(packed, n_shards=4)
         concept = _concept(packed, bag=2)
         keep = keep_mask(packed, (), "cat0")
         kept = int(np.count_nonzero(keep))
@@ -119,7 +124,7 @@ class TestSeedThreshold:
         assert kept > 2 and seed >= exact[1]
 
     def test_inf_when_sample_cannot_fill_top_k(self, packed):
-        index = packed.shard_index(4)
+        index = ShardIndex.build(packed, n_shards=4)
         keep = keep_mask(packed, (), None)
         assert seed_threshold(
             packed, index, _concept(packed), keep, packed.n_bags
@@ -133,7 +138,7 @@ class TestSeedThreshold:
         ) >= np.sort(packed.min_distances(_concept(packed)))[7]
 
     def test_validation(self, packed):
-        index = packed.shard_index(4)
+        index = ShardIndex.build(packed, n_shards=4)
         keep = keep_mask(packed, (), None)
         with pytest.raises(DatabaseError):
             seed_threshold(packed, index, _concept(packed), keep, 0)

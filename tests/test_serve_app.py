@@ -251,6 +251,143 @@ class TestRankEndpoint:
             app.rank(codec.envelope("rank", {"top_k": 3}))
 
 
+def _concept_fields(tiny_scene_db) -> dict:
+    import numpy as np
+
+    from repro.core.concept import LearnedConcept
+
+    packed = tiny_scene_db.packed()
+    return codec.encode_concept(
+        LearnedConcept(t=packed.instances[1], w=np.ones(packed.n_dims), nll=0.0)
+    )
+
+
+class TestMalformedWireFields:
+    """A wrongly typed field is the client's error: a typed 400, never a
+    500 and never a silently misread value (a truncated float, a string
+    split into characters)."""
+
+    @pytest.mark.parametrize("fields", [
+        {"top_k": "abc"},
+        {"top_k": 2.7},
+        {"top_k": True},
+        {"top_k": 0},
+        {"top_k": 3, "exclude": 5},
+        {"top_k": 3, "exclude": "waterfall-0000"},
+        {"top_k": 3, "exclude": [1, 2]},
+        {"top_k": 3, "candidate_ids": 5},
+        {"top_k": 3, "candidate_ids": "waterfall-0000"},
+        {"top_k": 3, "category_filter": ["x"]},
+    ])
+    def test_concept_rank_fields(self, app, tiny_scene_db, fields):
+        payload = codec.envelope(
+            "rank", {"concept": _concept_fields(tiny_scene_db), **fields}
+        )
+        status, reply = handle_safely(app, "rank", payload)
+        assert status == 400, reply
+        assert reply["error"] == "CodecError"
+
+    @pytest.mark.parametrize("change", [
+        {"t": ["a", "b"]},
+        {"t": {"x": 1.0}},
+        {"t": "abc"},
+        {"w": [[1.0, 2.0]]},
+        {"w": [True, False]},
+        {"nll": "abc"},
+        {"nll": None},
+        {"scheme": 5},
+        {"metadata": [1, 2]},
+    ])
+    def test_concept_fields(self, app, tiny_scene_db, change):
+        concept = {**_concept_fields(tiny_scene_db), **change}
+        payload = codec.envelope("rank", {"concept": concept, "top_k": 3})
+        status, reply = handle_safely(app, "rank", payload)
+        assert status == 400, reply
+        assert reply["error"] == "CodecError"
+        with pytest.raises(CodecError):
+            codec.decode_concept(concept)
+
+    @pytest.mark.parametrize("fields", [
+        {"top_k": "abc"},
+        {"top_k": 2.7},
+        {"exclude": 5},
+        {"candidate_ids": 5},
+        {"category_filter": ["x"]},
+    ])
+    def test_session_rank_fields(self, app, tiny_scene_db, fields):
+        ids = tiny_scene_db.ids_in_category("waterfall")
+        created = app.feedback(
+            codec.envelope(
+                "feedback",
+                {"params": dict(_PARAMS), "add_positive_ids": list(ids[:2]),
+                 "rank": False},
+            )
+        )
+        payload = codec.envelope(
+            "rank", {"session": created["session"], **fields}
+        )
+        status, reply = handle_safely(app, "rank", payload)
+        assert status == 400, reply
+        assert reply["error"] == "CodecError"
+
+    @pytest.mark.parametrize("fields", [
+        {"top_k": "abc"},
+        {"top_k": 2.7},
+        {"top_k": True},
+        {"add_positive_ids": 5},
+        {"add_positive_ids": "waterfall-0000"},
+        {"add_negative_ids": [1]},
+        {"false_positive_ids": 5},
+        {"category_filter": ["x"]},
+        {"learner": 5},
+        {"params": [1, 2]},
+    ])
+    def test_feedback_fields(self, app, tiny_scene_db, fields):
+        ids = tiny_scene_db.ids_in_category("waterfall")
+        payload = codec.envelope(
+            "feedback",
+            {"params": dict(_PARAMS), "add_positive_ids": list(ids[:2]),
+             **fields},
+        )
+        before = app.sessions.stats()["created"]
+        status, reply = handle_safely(app, "feedback", payload)
+        assert status == 400, reply
+        assert reply["error"] == "CodecError"
+        # Rejected before a session is minted: nothing to orphan.
+        assert app.sessions.stats()["created"] == before
+
+    @pytest.mark.parametrize("fields", [
+        {"top_k": "abc"},
+        {"top_k": 2.7},
+        {"positive_ids": "waterfall-0000"},
+        {"negative_ids": 5},
+        {"candidate_ids": 5},
+        {"category_filter": 3},
+        {"params": [1]},
+        {"learner": 5},
+    ])
+    def test_query_fields(self, app, tiny_scene_db, fields):
+        payload = {**codec.encode_query(_query(tiny_scene_db)), **fields}
+        status, reply = handle_safely(app, "query", payload)
+        assert status == 400, reply
+        assert reply["error"] == "CodecError"
+
+    def test_well_typed_fields_still_decode(self, tiny_scene_db):
+        concept = codec.decode_concept(
+            {**_concept_fields(tiny_scene_db), "nll": 1, "metadata": None}
+        )
+        assert concept.nll == 1.0 and concept.metadata == {}
+        data = codec.envelope(
+            "rank", {"top_k": None, "exclude": ("a",), "candidate_ids": None}
+        )
+        assert codec.top_k_field(data, "rank") is None
+        assert codec.id_list_field(data, "rank", "exclude") == ("a",)
+        assert codec.id_list_field(
+            data, "rank", "candidate_ids", nullable=True
+        ) is None
+        assert codec.id_list_field(data, "rank", "missing") == ()
+
+
 class TestIntrospection:
     def test_health(self, app, tiny_scene_db):
         body = codec.open_envelope(app.health(), "health")

@@ -67,9 +67,12 @@ class TestRoundTrip:
         """A built rank index is snapshotted and restored without a rebuild."""
         import numpy as np
 
+        from repro.core.sharding import ShardedRanker, ShardIndex
+
         service, query, reference = warmed
         original = service.database.packed()
-        index = original.shard_index(2)
+        index = ShardIndex.build(original, n_shards=2)
+        original.adopt_shard_index(index)
         info = save_service(service, tmp_path / "worker.npz")
         restored, _ = load_service(info.path)
         packed = restored.database.cached_packed
@@ -80,8 +83,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(adopted.lower, index.lower)
         np.testing.assert_array_equal(adopted.upper, index.upper)
         # The restored index serves the pruned path with identical output.
-        from repro.core.sharding import ShardedRanker
-
         fast = ShardedRanker().rank(
             reference.concept, packed, top_k=5, index=adopted,
             exclude=query.example_ids,
@@ -129,10 +130,12 @@ class TestRoundTrip:
 
         import numpy as np
 
+        from repro.core.sharding import ShardIndex
         from repro.errors import DatabaseError
 
         service, _, _ = warmed
-        service.database.packed().shard_index(2)
+        packed = service.database.packed()
+        packed.adopt_shard_index(ShardIndex.build(packed, n_shards=2))
         info = save_service(service, tmp_path / "worker.npz")
         with np.load(info.path) as payload:
             arrays = {k: payload[k] for k in payload.files}
@@ -151,8 +154,12 @@ class TestRoundTrip:
 
         import numpy as np
 
+        from repro.core.sharding import ShardIndex
+
         service, _, _ = warmed
-        index = service.database.packed().shard_index(2)
+        packed = service.database.packed()
+        index = ShardIndex.build(packed, n_shards=2)
+        packed.adopt_shard_index(index)
         info = save_service(service, tmp_path / "worker.npz")
         with np.load(info.path) as payload:
             arrays = {k: payload[k] for k in payload.files}
@@ -170,13 +177,6 @@ class TestRoundTrip:
         adopted = restored.database.cached_packed.cached_shard_index
         assert adopted is not None, "legacy index key was ignored"
         np.testing.assert_array_equal(adopted.lower, index.lower)
-
-    def test_load_service_forwards_rank_knobs(self, warmed, tmp_path):
-        service, _, _ = warmed
-        info = save_service(service, tmp_path / "worker.npz")
-        restored, _ = load_service(info.path, rank_index=False, rank_shards=4)
-        assert restored.rank_index is False
-        assert restored.rank_shards == 4
 
     def test_saved_approx_rank_mode_is_ignored(self, warmed, tmp_path):
         """Snapshots written while an approximate rank mode existed saved

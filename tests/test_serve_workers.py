@@ -232,6 +232,29 @@ class TestErrorsAndAggregation:
         with pytest.raises(CodecError):
             app.dispatch("rank", codec.envelope("rank", {}))
 
+    def test_malformed_ranks_never_open_a_breaker(self, local_service):
+        # One client's bad input is a 400 in the worker, not a failure:
+        # twelve of them must leave every worker in rotation.
+        with WorkerPool.from_service(local_service, 2) as pool:
+            app = WorkerDispatchApp(pool)
+            concept = codec.encode_concept(_concept(local_service.database))
+            bad_fields = [
+                {"top_k": "abc"}, {"top_k": 2.7}, {"top_k": True},
+                {"top_k": 3, "exclude": 5},
+                {"top_k": 3, "candidate_ids": 5},
+                {"top_k": 3, "category_filter": ["x"]},
+            ]
+            for fields in bad_fields * 2:
+                status, reply = handle_safely(
+                    app, "rank",
+                    codec.envelope("rank", {"concept": concept, **fields}),
+                )
+                assert status == 400, (fields, reply)
+                assert reply["error"] == "CodecError"
+            breaker = pool.breaker.snapshot()
+            assert breaker["opens"] == 0, breaker
+            assert breaker["open_workers"] == [], breaker
+
     def test_unknown_endpoint_rejected(self, app):
         status, reply = app.handle("no_such_endpoint", {})
         assert status == 400

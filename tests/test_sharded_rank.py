@@ -20,7 +20,7 @@ from repro.core.sharding import (
     ShardedRanker,
     shard_boundaries,
 )
-from repro.errors import DatabaseError, QueryError
+from repro.errors import DatabaseError
 
 
 def synthetic_packed(n_bags=300, n_dims=8, seed=3, max_instances=5):
@@ -88,19 +88,6 @@ class TestShardIndex:
             rtol=1e-9,
         )
 
-    def test_reshard_keeps_envelopes(self):
-        packed = synthetic_packed(50)
-        index = ShardIndex.build(packed, 2)
-        resharded = index.reshard(5)
-        assert resharded.n_shards == 5
-        assert resharded.lower is index.lower
-        assert resharded.upper is index.upper
-        # Partition-independent derived arrays are handed over, not
-        # recomputed — reshard is O(n_shards).
-        assert resharded.group_lower is index.group_lower
-        assert resharded.group_upper is index.group_upper
-        assert resharded.extent is index.extent
-
     def test_dimension_mismatch_rejected(self):
         index = ShardIndex.build(synthetic_packed(20, n_dims=4))
         with pytest.raises(DatabaseError):
@@ -119,15 +106,14 @@ class TestShardIndex:
         with pytest.raises(DatabaseError):
             ShardIndex(packed, good.upper, good.lower, good.boundaries)
 
-    def test_corpus_caches_and_reshards_index(self):
+    def test_corpus_caches_index(self):
         packed = synthetic_packed(40)
         assert packed.cached_shard_index is None
-        index = packed.shard_index(3)
+        index = packed.shard_index()
         assert packed.cached_shard_index is index
-        assert packed.shard_index() is index  # None keeps the cached one
-        resharded = packed.shard_index(5)
-        assert resharded.n_shards == 5
-        assert packed.cached_shard_index is resharded
+        assert packed.shard_index() is index
+        # The partition is the automatic one.
+        assert index.boundaries.tolist() == shard_boundaries(40).tolist()
 
     def test_adopt_rejects_foreign_index(self):
         packed = synthetic_packed(40)
@@ -345,18 +331,20 @@ class TestRankerRouting:
         )
         assert packed.cached_shard_index is None
 
-    def test_policy_pins_shard_count(self):
+    def test_pinned_shard_count_never_touches_the_cached_index(self):
+        # ShardedRanker(n_shards=k) ranks over a private partition, so a
+        # test or benchmark varying k cannot re-partition the index every
+        # other caller of the corpus shares.
         packed = synthetic_packed(50)
-        packed.configure_rank_index(n_shards=5)
-        assert packed.rank_index_shards == 5
-        Ranker(min_shard_bags=10).rank(
-            seeded_concept(packed.n_dims), packed, top_k=5
-        )
-        assert packed.cached_shard_index.n_shards == 5
+        concept = seeded_concept(packed.n_dims)
+        shared = packed.shard_index()
+        pinned = ShardedRanker(n_shards=5).rank(concept, packed, top_k=5)
+        assert packed.cached_shard_index is shared
+        assert shared.n_shards == 1
+        exhaustive = Ranker(auto_shard=False).rank(concept, packed, top_k=5)
+        assert pinned.image_ids == exhaustive.image_ids
 
     def test_policy_validates(self):
-        with pytest.raises(DatabaseError):
-            synthetic_packed(10).configure_rank_index(n_shards=0)
         with pytest.raises(DatabaseError):
             Ranker(min_shard_bags=0)
         with pytest.raises(DatabaseError):
@@ -364,10 +352,10 @@ class TestRankerRouting:
 
     def test_views_packed_on_the_spot_never_route(self):
         # Regression (review of PR 5): packed_view's throwaway creations
-        # — id subsets, legacy re-packs, raw-iterable packs — die with
-        # the call, so routing them would build a discarded shard index
-        # on every query.  They come back non-routable; caller-held views
-        # keep their policy.
+        # — id subsets and raw-iterable packs — die with the call, so
+        # routing them would build a discarded shard index on every
+        # query.  They come back non-routable; caller-held views stay
+        # routable.
         packed = synthetic_packed(30, n_dims=4)
         assert packed_view(packed).rank_index_enabled
         assert not packed_view(packed, packed.image_ids[:10]).rank_index_enabled
@@ -378,15 +366,6 @@ class TestRankerRouting:
             for i in range(30)
         ]
         assert not packed_view(candidates).rank_index_enabled
-
-        class LegacyOnly:
-            image_ids = tuple(c.image_id for c in candidates)
-
-            def retrieval_candidates(self, ids):
-                by_id = {c.image_id: c for c in candidates}
-                return [by_id[i] for i in ids]
-
-        assert not packed_view(LegacyOnly()).rank_index_enabled
         # A low-threshold Ranker fed the raw list stays exhaustive — and
         # correct.
         concept = seeded_concept(4)
@@ -426,32 +405,6 @@ class TestMinDistancesAt:
 
 
 class TestServiceKnobs:
-    def test_rank_shards_validated(self, tiny_scene_db):
-        with pytest.raises(QueryError):
-            RetrievalService(tiny_scene_db, rank_shards=0)
-
-    def test_policy_applied_to_served_corpus(self, tiny_scene_db):
-        service = RetrievalService(tiny_scene_db, rank_index=False,
-                                   rank_shards=3)
-        assert service.rank_index is False and service.rank_shards == 3
-        fitted = service.fit(
-            tiny_scene_db.ids_in_category("sunset")[:2],
-            learner="random",
-        )
-        service.rank_with(fitted, top_k=3)
-        packed = tiny_scene_db.cached_packed
-        assert packed is not None
-        assert packed.rank_index_enabled is False
-        assert packed.rank_index_shards == 3
-        # A default-configured service must not flip a policy another
-        # service stamped on the shared view.
-        RetrievalService(tiny_scene_db).rank_with(fitted, top_k=3)
-        assert packed.rank_index_enabled is False
-        # The fixture is session-shared: restore the default policy
-        # (n_shards=None clears the pin back to automatic).
-        packed.configure_rank_index(enabled=True, n_shards=None)
-        assert packed.rank_index_shards is None
-
     def test_subset_queries_never_index_the_ephemeral_view(self, tiny_scene_db):
         service = RetrievalService(tiny_scene_db)
         fitted = service.fit(
@@ -461,15 +414,12 @@ class TestServiceKnobs:
         result = service.rank_with(fitted, candidate_ids=subset, top_k=3)
         assert result.total_candidates == len(subset)
         cached = tiny_scene_db.cached_packed
-        if cached is not None:  # the full view, if built, keeps its policy
+        if cached is not None:  # the full view, if built, stays routable
             assert cached.rank_index_enabled is True
 
     def test_stats_report_the_policy(self, tiny_scene_db):
-        service = RetrievalService(tiny_scene_db, rank_shards=2)
-        stats = service.stats()
+        stats = RetrievalService(tiny_scene_db).stats()
         assert stats["rank_index"] == {
-            "enabled": True,
-            "shards": 2,
             "mode": "exact",
             "reorder_bags": False,
         }
