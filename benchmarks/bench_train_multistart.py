@@ -15,6 +15,11 @@ what that buys on a 20-bag synthetic set (10 positive bags x 8 instances =
 A third row reports the dynamic restart-pruning mode
 (``restart_prune_margin``), which freezes restarts dominated by the
 incumbent best — the Section 4.3 thinning applied at run time.
+
+The last rows train the ``identical`` scheme on its default L-BFGS-B
+backend, which the lockstep engine drives through one reverse-communication
+state per restart.  They assert the same two properties: bit-identical
+per-start results and a batched speed-up of at least the same floor.
 """
 
 import os
@@ -24,6 +29,7 @@ import numpy as np
 
 from repro.bags.bag import Bag, BagSet
 from repro.core.diverse_density import DiverseDensityTrainer, TrainerConfig
+from repro.core.schemes import IdenticalWeightsScheme
 from repro.eval.reporting import ascii_table
 
 #: Minimum accepted batched-over-sequential speed-up.
@@ -54,10 +60,10 @@ def twenty_bag_set(seed: int = 0) -> BagSet:
     return bag_set
 
 
-def _train(bag_set: BagSet, engine: str, margin: float | None = None):
+def _train(bag_set: BagSet, engine: str, margin: float | None = None, scheme="inequality"):
     trainer = DiverseDensityTrainer(
         TrainerConfig(
-            scheme="inequality",
+            scheme=scheme,
             beta=0.5,
             max_iterations=MAX_ITERATIONS,
             engine=engine,
@@ -70,28 +76,50 @@ def _train(bag_set: BagSet, engine: str, margin: float | None = None):
 
 
 def test_batched_engine_speedup(benchmark, report, bench_json):
+    lbfgs = IdenticalWeightsScheme(max_iterations=MAX_ITERATIONS, backend="lbfgs")
+
     def run_all():
         bag_set = twenty_bag_set()
-        sequential, sequential_s = _train(bag_set, "sequential")
-        batched, batched_s = _train(bag_set, "batched")
-        pruned, pruned_s = _train(bag_set, "batched", margin=1.0)
-        return sequential, sequential_s, batched, batched_s, pruned, pruned_s
+        return {
+            "sequential": _train(bag_set, "sequential"),
+            "batched": _train(bag_set, "batched"),
+            "pruned": _train(bag_set, "batched", margin=1.0),
+            # Tens of milliseconds each: the best of three damps scheduler noise.
+            "lbfgs_sequential": min(
+                (_train(bag_set, "sequential", scheme=lbfgs) for _ in range(3)),
+                key=lambda run: run[1],
+            ),
+            "lbfgs_batched": min(
+                (_train(bag_set, "batched", scheme=lbfgs) for _ in range(3)),
+                key=lambda run: run[1],
+            ),
+        }
 
-    sequential, sequential_s, batched, batched_s, pruned, pruned_s = (
-        benchmark.pedantic(run_all, rounds=1, iterations=1)
-    )
+    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    sequential, sequential_s = runs["sequential"]
+    batched, batched_s = runs["batched"]
+    pruned, pruned_s = runs["pruned"]
+    lbfgs_sequential, lbfgs_sequential_s = runs["lbfgs_sequential"]
+    lbfgs_batched, lbfgs_batched_s = runs["lbfgs_batched"]
 
     # Batching must not change the mathematics: bit-identical results.
-    assert batched.concept.nll == sequential.concept.nll
-    assert np.array_equal(batched.concept.t, sequential.concept.t)
-    assert np.array_equal(batched.concept.w, sequential.concept.w)
-    assert [r.value for r in batched.starts] == [r.value for r in sequential.starts]
+    for fast, slow in ((batched, sequential), (lbfgs_batched, lbfgs_sequential)):
+        assert fast.concept.nll == slow.concept.nll
+        assert np.array_equal(fast.concept.t, slow.concept.t)
+        assert np.array_equal(fast.concept.w, slow.concept.w)
+        assert [r.value for r in fast.starts] == [r.value for r in slow.starts]
+        assert [r.n_iterations for r in fast.starts] == [
+            r.n_iterations for r in slow.starts
+        ]
+    assert lbfgs_batched.concept.metadata["engine"] == "batched"
 
     speedup = sequential_s / batched_s
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched engine only {speedup:.2f}x faster than sequential "
-        f"(required {MIN_SPEEDUP:.1f}x)"
-    )
+    lbfgs_speedup = lbfgs_sequential_s / lbfgs_batched_s
+    for name, measured in (("inequality", speedup), ("identical/L-BFGS", lbfgs_speedup)):
+        assert measured >= MIN_SPEEDUP, (
+            f"{name}: batched engine only {measured:.2f}x faster than "
+            f"sequential (required {MIN_SPEEDUP:.1f}x)"
+        )
 
     bench_json("train", "multistart_engines", {
         "n_bags": N_POSITIVE + N_NEGATIVE,
@@ -104,6 +132,9 @@ def test_batched_engine_speedup(benchmark, report, bench_json):
         "speedup_batched": speedup,
         "speedup_pruned": sequential_s / pruned_s,
         "n_starts_pruned": pruned.n_starts_pruned,
+        "lbfgs_sequential_seconds": lbfgs_sequential_s,
+        "lbfgs_batched_seconds": lbfgs_batched_s,
+        "speedup_lbfgs": lbfgs_speedup,
         "bit_identical": True,
     })
 
@@ -115,6 +146,10 @@ def test_batched_engine_speedup(benchmark, report, bench_json):
         ["batched + prune(1.0)", f"{pruned_s:.3f}",
          f"{sequential_s / pruned_s:.2f}",
          f"{pruned.concept.nll:.5f}", pruned.n_starts_pruned],
+        ["identical/L-BFGS sequential", f"{lbfgs_sequential_s:.3f}", "1.00",
+         f"{lbfgs_sequential.concept.nll:.5f}", lbfgs_sequential.n_starts_pruned],
+        ["identical/L-BFGS batched", f"{lbfgs_batched_s:.3f}", f"{lbfgs_speedup:.2f}",
+         f"{lbfgs_batched.concept.nll:.5f}", lbfgs_batched.n_starts_pruned],
     ]
     report(
         ascii_table(

@@ -30,7 +30,9 @@ setup(
     packages=find_packages("src"),
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    # scipy 1.15 introduced the L-BFGS-B reverse-communication signature
+    # (``setulb`` with integer task codes) that repro.core.optimizer drives.
+    install_requires=["numpy", "scipy>=1.15"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     classifiers=[
         "Programming Language :: Python :: 3",

@@ -3,7 +3,8 @@
 * :mod:`repro.core.objective` — noisy-or negative log Diverse Density and its
   analytic gradients (Section 2.2).
 * :mod:`repro.core.optimizer` — unconstrained minimisers (bespoke Armijo
-  gradient descent and an L-BFGS backend).
+  gradient descent and an L-BFGS-B backend whose one solver steps any
+  number of restarts in lockstep).
 * :mod:`repro.core.projection` — exact projection onto the weight constraint
   set and projected-gradient / SLSQP constrained minimisers (Section 3.6.3).
 * :mod:`repro.core.schemes` — the four weight-control schemes of Section 3.6.
@@ -33,6 +34,7 @@ from repro.core.diverse_density import (
 from repro.core.engine import BatchedArmijoDescent, BatchedProjectedDescent
 from repro.core.feedback import FeedbackLoop, FeedbackRound
 from repro.core.objective import BatchedDiverseDensityObjective, DiverseDensityObjective
+from repro.core.optimizer import LockstepLBFGSB
 from repro.core.retrieval import (
     AUTO_SHARD_MIN_BAGS,
     PackedCorpus,
@@ -56,6 +58,7 @@ __all__ = [
     "TrainingResult",
     "BatchedArmijoDescent",
     "BatchedProjectedDescent",
+    "LockstepLBFGSB",
     "FeedbackLoop",
     "FeedbackRound",
     "BatchedDiverseDensityObjective",

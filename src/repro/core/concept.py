@@ -61,8 +61,10 @@ class LearnedConcept:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=np.float64).reshape(-1)
-        w = np.asarray(self.w, dtype=np.float64).reshape(-1)
+        # Own copies: a concept taken from a row of a restart matrix must not
+        # keep the whole matrix alive in caches and sessions.
+        t = np.asarray(self.t, dtype=np.float64).reshape(-1).copy()
+        w = np.asarray(self.w, dtype=np.float64).reshape(-1).copy()
         if t.size == 0 or t.size != w.size:
             raise TrainingError(
                 f"concept requires matching non-empty t and w, got {t.size} and {w.size}"

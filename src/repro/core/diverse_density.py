@@ -17,13 +17,13 @@ Two execution engines run the restart population:
   as they trail the incumbent best by more than the margin (the Section
   4.3 thinning applied dynamically rather than only by start subset).
 * ``engine="sequential"`` — one solver per restart, the historical
-  per-start path; kept as the equivalence reference (on Armijo-family
-  scheme backends the two engines are bit-identical per restart) and as
-  the fallback for schemes the batched engine cannot drive without
-  changing their results: custom schemes and quasi-Newton backends
-  (L-BFGS / SLSQP).  An engine switch therefore never changes training
-  outcomes; ``concept.metadata["engine"]`` records which engine actually
-  ran.
+  per-start path; kept as the equivalence reference (on every backend the
+  batched engine drives — ``lbfgs``, ``armijo`` and ``projected`` — the two
+  engines are bit-identical per restart) and as the fallback for schemes
+  the batched engine cannot drive without changing their results: custom
+  schemes and the inequality scheme's SLSQP backend.  An engine switch
+  therefore never changes training outcomes; ``concept.metadata["engine"]``
+  records which engine actually ran.
 
 :class:`DiverseDensityTrainer` wires together the objective, a weight scheme
 and the restart strategy, and returns a :class:`TrainingResult` carrying the
@@ -262,8 +262,7 @@ class DiverseDensityTrainer:
                 engine_used = "batched"
         if records is None:
             # Sequential engine, or a scheme the batched engine cannot
-            # drive without changing its results (custom schemes,
-            # quasi-Newton backends).
+            # drive without changing its results (custom schemes, SLSQP).
             records, best = self._train_sequential(objective, starts)
 
         if best is None:
@@ -305,9 +304,13 @@ class DiverseDensityTrainer:
         """All restarts in lockstep; ``(None, None)`` for unbatchable schemes."""
         n_dims = objective.n_dims
         t0 = np.vstack([t for _, _, t, _ in starts])
-        w0 = np.ones((len(starts), n_dims))
+        # Unit weights as a broadcast view: no (R, d) block unless a start
+        # brings its own weights.
+        w0 = np.broadcast_to(np.ones(n_dims), (len(starts), n_dims))
         for row, (_, _, _, w_start) in enumerate(starts):
             if w_start is not None:
+                if not w0.flags.writeable:
+                    w0 = w0.copy()
                 w0[row] = self._check_start_weights(w_start, n_dims)
 
         outcome = run_batched_scheme(

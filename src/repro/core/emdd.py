@@ -48,12 +48,12 @@ from repro.core.diverse_density import (
     TrainingResult,
     select_restart_points,
 )
-from repro.core.engine import RestartMasks
 from repro.core.objective import (
     BatchedDiverseDensityObjective,
     DiverseDensityObjective,
     batched_weighted_distances,
 )
+from repro.core.optimizer import RestartMasks
 from repro.core.schemes import WeightScheme, make_scheme
 from repro.errors import TrainingError
 

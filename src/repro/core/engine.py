@@ -16,11 +16,15 @@ with three per-restart masks:
   *dynamically*: instead of choosing a start subset up front, hopeless
   restarts are abandoned as soon as the evidence arrives.
 
-Two solvers mirror the sequential ones step for step:
+Three solvers mirror the sequential ones step for step:
 
 * :class:`BatchedArmijoDescent` — lockstep
   :class:`~repro.core.optimizer.ArmijoGradientDescent` (the unconstrained
-  schemes: original / identical / alpha-hack);
+  schemes on the ``armijo`` backend, and alpha-hack);
+* :class:`~repro.core.optimizer.LockstepLBFGSB` — scipy's L-BFGS-B with one
+  reverse-communication state per restart, the same solver
+  :class:`~repro.core.optimizer.LBFGSOptimizer` runs on one row (original
+  and identical on their default ``lbfgs`` backend);
 * :class:`BatchedProjectedDescent` — lockstep
   :class:`~repro.core.projection.ProjectedGradientDescent` (the inequality
   scheme).
@@ -31,9 +35,8 @@ per restart to running the same solver on each start alone — batching is a
 pure execution-strategy change, which the engine equivalence suite asserts.
 :func:`run_batched_scheme` maps each paper weight scheme onto its batched
 solver; schemes this module cannot batch without changing their results
-(custom ``WeightScheme`` subclasses, and schemes configured with
-quasi-Newton backends such as L-BFGS or SLSQP) return ``None`` and the
-trainer falls back to the sequential path.
+(custom ``WeightScheme`` subclasses, and the inequality scheme on its SLSQP
+backend) return ``None`` and the trainer falls back to the sequential path.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ from typing import Callable
 import numpy as np
 
 from repro.core.objective import BatchedDiverseDensityObjective
-from repro.core.optimizer import row_dots
+from repro.core.optimizer import (
+    BatchedValueAndGrad,
+    LockstepLBFGSB,
+    RestartMasks,
+    check_start_values,
+    row_dots,
+)
 from repro.core.projection import project_weights_batch
 from repro.core.schemes import (
     AlphaHackScheme,
@@ -55,8 +64,6 @@ from repro.core.schemes import (
 )
 from repro.errors import OptimizationError
 
-#: Batched ``value_and_grad`` over ``(K, m)`` row subsets of the restarts.
-BatchedValueAndGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 #: Batched ``value_and_grad`` over split ``(t, w)`` blocks.
 BatchedStackedValueAndGrad = Callable[
     [np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -83,46 +90,6 @@ class BatchedOutcome:
     n_iterations: np.ndarray
     converged: np.ndarray
     pruned: np.ndarray
-
-
-class RestartMasks:
-    """Bookkeeping shared by both lockstep solvers."""
-
-    def __init__(self, n_restarts: int, max_iterations: int) -> None:
-        self.active = np.ones(n_restarts, dtype=bool)
-        self.converged = np.zeros(n_restarts, dtype=bool)
-        self.pruned = np.zeros(n_restarts, dtype=bool)
-        self.n_iterations = np.full(n_restarts, max_iterations, dtype=np.int64)
-
-    def finish(self, rows: np.ndarray, iteration: int, converged: bool) -> None:
-        """Retire ``rows`` at ``iteration`` with the given convergence flag."""
-        self.converged[rows] = converged
-        self.n_iterations[rows] = iteration
-        self.active[rows] = False
-
-    def prune(self, values: np.ndarray, iteration: int, margin: float | None) -> None:
-        """Freeze active restarts dominated by the incumbent best.
-
-        The incumbent is the best value over *all* restarts — finished ones
-        included — so a restart that converged early still thins the rest
-        of the population.
-        """
-        if margin is None or not self.active.any():
-            return
-        incumbent = values.min()
-        doomed = self.active & (values > incumbent + margin)
-        if doomed.any():
-            rows = np.flatnonzero(doomed)
-            self.pruned[rows] = True
-            self.finish(rows, iteration, converged=False)
-
-
-def _check_start_values(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise OptimizationError(
-            f"objective is non-finite at the starting point (restart {bad})"
-        )
 
 
 class BatchedArmijoDescent:
@@ -181,7 +148,7 @@ class BatchedArmijoDescent:
         z = np.array(z0, dtype=np.float64)
         n_restarts = z.shape[0]
         values, grads = fun(z)
-        _check_start_values(values)
+        check_start_values(values)
         step = np.full(n_restarts, self._step0)
         masks = RestartMasks(n_restarts, self._max_iterations)
 
@@ -290,7 +257,7 @@ class BatchedProjectedDescent:
         w = project_weights_batch(np.asarray(w0, dtype=np.float64), self._beta)
         n_restarts = t.shape[0]
         values, grad_t, grad_w = fun(t, w)
-        _check_start_values(values)
+        check_start_values(values)
         masks = RestartMasks(n_restarts, self._max_iterations)
 
         for iteration in range(self._max_iterations):
@@ -346,6 +313,17 @@ class BatchedProjectedDescent:
         return t, w, values, masks
 
 
+def _unconstrained_solver(
+    scheme: WeightScheme,
+) -> BatchedArmijoDescent | LockstepLBFGSB | None:
+    """The lockstep twin of an unconstrained scheme's sequential minimiser."""
+    if scheme.backend == "armijo":
+        return BatchedArmijoDescent(scheme.max_iterations, scheme.gradient_tolerance)
+    if scheme.backend == "lbfgs":
+        return LockstepLBFGSB(scheme.max_iterations, scheme.gradient_tolerance)
+    return None
+
+
 def run_batched_scheme(
     objective: BatchedDiverseDensityObjective,
     scheme: WeightScheme,
@@ -357,10 +335,10 @@ def run_batched_scheme(
 
     Args:
         objective: the shared batched objective.
-        scheme: one of the four paper weight schemes, on an Armijo-family
-            solver backend (``armijo`` for the unconstrained schemes,
-            ``projected`` for the inequality scheme) — exactly the solvers
-            the lockstep engine replicates bit for bit.
+        scheme: one of the four paper weight schemes, on a backend the
+            lockstep engine replicates bit for bit: ``lbfgs`` or ``armijo``
+            for original / identical, ``armijo`` for alpha-hack, and
+            ``projected`` for inequality.
         t0: ``(R, d)`` restart concept points.
         w0: ``(R, d)`` starting effective weights (ones unless warm-started).
         prune_margin: freeze restarts whose value trails the incumbent best
@@ -369,10 +347,10 @@ def run_batched_scheme(
     Returns:
         A :class:`BatchedOutcome`, or ``None`` for a scheme this engine
         cannot batch *without changing its results* — custom schemes, and
-        schemes configured with quasi-Newton backends (L-BFGS / SLSQP),
-        whose trajectories the Armijo-family solvers would silently
-        replace.  The trainer then falls back to the sequential per-start
-        path, so an engine switch never changes training outcomes.
+        the inequality scheme on its SLSQP backend, whose trajectory the
+        projected solver would silently replace.  The trainer then falls
+        back to the sequential per-start path, so an engine switch never
+        changes training outcomes.
     """
     t0 = np.atleast_2d(np.asarray(t0, dtype=np.float64))
     w0 = np.atleast_2d(np.asarray(w0, dtype=np.float64))
@@ -397,15 +375,15 @@ def run_batched_scheme(
         )
 
     if isinstance(scheme, IdenticalWeightsScheme):
-        if scheme.backend != "armijo":
+        unconstrained = _unconstrained_solver(scheme)
+        if unconstrained is None:
             return None
 
         def fun_identical(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             values, grad_t, _ = objective.value_and_grad(z, np.ones_like(z))
             return values, grad_t
 
-        solver = BatchedArmijoDescent(scheme.max_iterations, scheme.gradient_tolerance)
-        z, values, masks = solver.minimize(fun_identical, t0, prune_margin)
+        z, values, masks = unconstrained.minimize(fun_identical, t0, prune_margin)
         return BatchedOutcome(
             t=z,
             w=np.ones_like(z),
@@ -416,7 +394,8 @@ def run_batched_scheme(
         )
 
     if isinstance(scheme, (OriginalDDScheme, AlphaHackScheme)):
-        if scheme.backend != "armijo":
+        unconstrained = _unconstrained_solver(scheme)
+        if unconstrained is None:
             return None
         alpha = scheme.alpha if isinstance(scheme, AlphaHackScheme) else 1.0
 
@@ -427,8 +406,7 @@ def run_batched_scheme(
             return values, np.concatenate([grad_t, grad_s], axis=1)
 
         z0 = np.concatenate([t0, np.sqrt(w0)], axis=1)
-        solver = BatchedArmijoDescent(scheme.max_iterations, scheme.gradient_tolerance)
-        z, values, masks = solver.minimize(fun_squared, z0, prune_margin)
+        z, values, masks = unconstrained.minimize(fun_squared, z0, prune_margin)
         s = z[:, n_dims:]
         return BatchedOutcome(
             t=z[:, :n_dims],

@@ -8,14 +8,16 @@ is installed, plus deterministic coverage of the edge shapes the issue
 calls out (single positive bag, stride-thinned starts, warm starts) and of
 the restart-pruning and fallback behaviours that are batched-only.
 
-Equivalence holds on the Armijo-family solver backends the batched engine
-replicates (`armijo` for the unconstrained schemes, `projected` for the
-inequality scheme); quasi-Newton backends (L-BFGS, SLSQP) follow different
-trajectories by construction and stay on the sequential path.
+Equivalence holds on every solver backend the batched engine replicates:
+`armijo` and `lbfgs` for the unconstrained schemes (L-BFGS-B runs through
+one reverse-communication solver in both engines, itself checked against
+the public `scipy.optimize.minimize`), `projected` for the inequality
+scheme.  SLSQP has no lockstep twin and stays on the sequential path.
 """
 
 import numpy as np
 import pytest
+from scipy import optimize as scipy_optimize
 
 from repro.bags.bag import Bag, BagSet
 from repro.core.diverse_density import (
@@ -25,7 +27,7 @@ from repro.core.diverse_density import (
     TrainingResult,
 )
 from repro.core.emdd import EMDDConfig, EMDDTrainer
-from repro.core.objective import BatchedDiverseDensityObjective
+from repro.core.objective import BatchedDiverseDensityObjective, DiverseDensityObjective
 from repro.core.schemes import (
     AlphaHackScheme,
     IdenticalWeightsScheme,
@@ -34,7 +36,7 @@ from repro.core.schemes import (
     SchemeResult,
     WeightScheme,
 )
-from repro.errors import TrainingError
+from repro.errors import OptimizationError, TrainingError
 from tests.conftest import make_planted_bag_set
 
 #: Scheme factories whose batched solver replicates the sequential one.
@@ -45,6 +47,13 @@ EQUIVALENT_SCHEMES = {
     "original-armijo": lambda: OriginalDDScheme(max_iterations=60, backend="armijo"),
     "alpha-hack": lambda: AlphaHackScheme(alpha=25.0, max_iterations=60),
     "inequality-projected": lambda: InequalityScheme(beta=0.5, max_iterations=60),
+    "identical-lbfgs": lambda: IdenticalWeightsScheme(max_iterations=60, backend="lbfgs"),
+    "original-lbfgs": lambda: OriginalDDScheme(max_iterations=60, backend="lbfgs"),
+}
+#: The L-BFGS-B schemes, by name, with a configurable iteration cap.
+LBFGS_SCHEMES = {
+    "identical": lambda cap: IdenticalWeightsScheme(max_iterations=cap, backend="lbfgs"),
+    "original": lambda cap: OriginalDDScheme(max_iterations=cap, backend="lbfgs"),
 }
 
 
@@ -261,6 +270,75 @@ class TestRestartPruning:
             EMDDConfig(engine="warp-drive")
 
 
+class TestLBFGSRestartPruning:
+    def train(self, margin, scheme="identical"):
+        bag_set, _ = make_planted_bag_set(n_positive=4, seed=35)
+        trainer = DiverseDensityTrainer(
+            TrainerConfig(
+                scheme=LBFGS_SCHEMES[scheme](100),
+                engine="batched",
+                restart_prune_margin=margin,
+            )
+        )
+        return trainer.train(bag_set)
+
+    @pytest.mark.parametrize("scheme", sorted(LBFGS_SCHEMES))
+    def test_margin_prunes_and_keeps_best_concept(self, scheme):
+        unpruned = self.train(None, scheme)
+        pruned = self.train(1.0, scheme)
+        assert unpruned.n_starts_pruned == 0
+        assert pruned.n_starts_pruned > 0
+        assert pruned.concept.metadata["n_starts_pruned"] == pruned.n_starts_pruned
+        for record in pruned.starts:
+            if record.pruned:
+                assert not record.converged
+                assert record.value > pruned.concept.nll
+        assert not pruned.best_start.pruned
+        assert pruned.concept.nll == min(record.value for record in pruned.starts)
+        # Pruning may let a different restart win, but on this planted
+        # problem it reaches the same optimum with fewer iterations.
+        assert pruned.concept.nll == pytest.approx(unpruned.concept.nll, abs=1e-9)
+        total = lambda result: sum(r.n_iterations for r in result.starts)  # noqa: E731
+        assert total(pruned) < total(unpruned)
+
+    def test_huge_margin_matches_unpruned(self):
+        unpruned = self.train(None)
+        slack = self.train(1e12)
+        assert slack.n_starts_pruned == 0
+        assert_bit_identical(unpruned, slack)
+
+
+class TestNonFiniteStart:
+    @pytest.mark.parametrize("scheme", sorted(LBFGS_SCHEMES))
+    @pytest.mark.parametrize("engine", ["batched", "sequential"])
+    def test_nonfinite_start_raises_optimization_error(self, scheme, engine):
+        # A NaN warm start poisons the objective at its starting point; both
+        # engines must refuse it with the typed error, not hand the line
+        # search a NaN.
+        bag_set, _ = make_planted_bag_set(n_positive=2, seed=41)
+        trainer = DiverseDensityTrainer(
+            TrainerConfig(scheme=LBFGS_SCHEMES[scheme](30), engine=engine)
+        )
+        poisoned = (ExtraStart(t=np.full(bag_set.n_dims, np.nan)),)
+        with pytest.raises(OptimizationError, match="non-finite at the starting point"):
+            trainer.train(bag_set, extra_starts=poisoned)
+
+
+class TestTrainedConceptOwnsData:
+    @pytest.mark.parametrize("scheme", sorted(EQUIVALENT_SCHEMES))
+    def test_concept_does_not_pin_restart_matrices(self, scheme):
+        # A concept lives on in caches and sessions; a view into the
+        # (R, d) restart matrix would keep the whole matrix alive.
+        bag_set, _ = make_planted_bag_set(n_positive=3, seed=40)
+        concept = DiverseDensityTrainer(
+            TrainerConfig(scheme=EQUIVALENT_SCHEMES[scheme](), engine="batched")
+        ).train(bag_set).concept
+        for array in (concept.t, concept.w):
+            assert array.base is None
+            assert array.flags.owndata
+            assert array.nbytes == bag_set.n_dims * 8
+
+
 class _ShiftedIdenticalScheme(WeightScheme):
     """A custom scheme the batched engine cannot recognise."""
 
@@ -288,22 +366,26 @@ class TestCustomSchemeFallback:
         assert batched.concept.metadata["engine"] == "sequential"
 
     @pytest.mark.parametrize(
-        "scheme_factory",
+        ("scheme_factory", "engine"),
         [
-            lambda: IdenticalWeightsScheme(max_iterations=60, backend="lbfgs"),
-            lambda: OriginalDDScheme(max_iterations=60, backend="lbfgs"),
-            lambda: InequalityScheme(beta=0.5, max_iterations=40, backend="slsqp"),
+            (lambda: IdenticalWeightsScheme(max_iterations=60, backend="lbfgs"), "batched"),
+            (lambda: OriginalDDScheme(max_iterations=60, backend="lbfgs"), "batched"),
+            (
+                lambda: InequalityScheme(beta=0.5, max_iterations=40, backend="slsqp"),
+                "sequential",
+            ),
         ],
         ids=["identical-lbfgs", "original-lbfgs", "inequality-slsqp"],
     )
-    def test_quasi_newton_backends_fall_back(self, scheme_factory):
-        # The lockstep engine only replicates Armijo-family solvers; a
-        # quasi-Newton backend must keep its sequential trajectory instead
-        # of being silently swapped for a different optimiser.
+    def test_quasi_newton_backends_fall_back(self, scheme_factory, engine):
+        # L-BFGS-B runs in lockstep through the same reverse-communication
+        # solver as the per-start path, so it batches without changing a
+        # bit; SLSQP has no lockstep twin and keeps its sequential
+        # trajectory instead of being silently swapped for another solver.
         bag_set, _ = make_planted_bag_set(n_positive=3, seed=38)
         batched, sequential = train_both(bag_set, scheme_factory())
         assert_bit_identical(batched, sequential)
-        assert batched.concept.metadata["engine"] == "sequential"
+        assert batched.concept.metadata["engine"] == engine
 
     def test_armijo_backend_uses_batched_engine(self):
         bag_set, _ = make_planted_bag_set(n_positive=2, seed=39)
@@ -364,3 +446,66 @@ def test_property_objective_slice_stable(seed, n_dims, batch):
     assert sub_values[0] == values[row]
     assert np.array_equal(sub_gt[0], grad_t[row])
     assert np.array_equal(sub_gw[0], grad_w[row])
+
+
+def scheme_fun(objective: DiverseDensityObjective, scheme: str):
+    """The scalar function and start map the scheme hands its minimiser."""
+    n = objective.n_dims
+    if scheme == "identical":
+        ones = np.ones(n)
+
+        def fun(t):
+            value, grad_t, _ = objective.value_and_grad(t, ones)
+            return value, grad_t
+
+        return fun, lambda t0: t0
+
+    def fun(z):
+        value, grad_t, grad_s = objective.value_and_grad_squared(z[:n], z[n:])
+        return value, np.concatenate([grad_t, grad_s])
+
+    return fun, lambda t0: np.concatenate([t0, np.ones(n)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_dims=st.integers(min_value=1, max_value=7),
+    n_positive=st.integers(min_value=1, max_value=4),
+    n_negative=st.integers(min_value=0, max_value=3),
+    max_instances=st.integers(min_value=1, max_value=6),
+    max_iterations=st.integers(min_value=1, max_value=40),
+    n_extra=st.integers(min_value=0, max_value=2),
+    scheme=st.sampled_from(sorted(LBFGS_SCHEMES)),
+)
+def test_property_lbfgs_engines_bit_identical(
+    seed, n_dims, n_positive, n_negative, max_instances, max_iterations, n_extra, scheme
+):
+    # Non-dyadic data (normal draws): every restart of the lockstep solver
+    # must match the per-start path bit for bit, and the per-start path the
+    # public scipy entry point.
+    bag_set = random_bag_set(seed, n_dims, n_positive, n_negative, max_instances)
+    rng = np.random.default_rng(seed + 7)
+    extra = tuple(
+        ExtraStart(t=rng.normal(0.5, 1.5, n_dims), w=rng.uniform(0.2, 1.3, n_dims))
+        for _ in range(n_extra)
+    )
+    batched, sequential = train_both(
+        bag_set, LBFGS_SCHEMES[scheme](max_iterations), extra_starts=extra
+    )
+    assert_bit_identical(batched, sequential)
+    assert batched.concept.metadata["engine"] == "batched"
+
+    objective = DiverseDensityObjective(bag_set)
+    fun, start = scheme_fun(objective, scheme)
+    bag = bag_set.positive_bags[0]
+    x0 = start(bag.instances[0].copy())
+    result = scipy_optimize.minimize(
+        fun, x0, jac=True, method="L-BFGS-B",
+        options={"maxiter": max_iterations, "gtol": 1e-6},
+    )
+    record = sequential.starts[0]
+    assert (record.bag_id, record.instance_index) == (bag.bag_id, 0)
+    assert record.value == result.fun
+    assert record.n_iterations == result.nit
+    assert record.converged == (bool(result.success) or result.nit >= max_iterations)

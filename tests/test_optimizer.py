@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import optimize as scipy_optimize
 
+from repro.core import optimizer as optimizer_module
 from repro.core.optimizer import (
     ArmijoGradientDescent,
     LBFGSOptimizer,
+    LockstepLBFGSB,
     make_minimizer,
 )
 from repro.errors import OptimizationError
@@ -117,6 +120,27 @@ class TestArmijo:
         assert outcome.value < 1e-4
 
 
+def kinked(x: np.ndarray):
+    """Non-smooth ``sum |x - 0.3|``: line searches fail near the kink."""
+    diff = x - 0.3
+    return float(np.abs(diff).sum()), np.sign(diff)
+
+
+def scipy_lbfgsb(fun, x0: np.ndarray, max_iterations: int, gtol: float = 1e-6):
+    """The public scipy entry point the solver must reproduce bit for bit."""
+    return scipy_optimize.minimize(
+        fun, x0, jac=True, method="L-BFGS-B",
+        options={"maxiter": max_iterations, "gtol": gtol},
+    )
+
+
+def assert_matches_scipy(outcome, result, max_iterations: int) -> None:
+    assert np.array_equal(outcome.x, result.x)
+    assert outcome.value == result.fun  # bitwise, no tolerance
+    assert outcome.n_iterations == result.nit
+    assert outcome.converged == (bool(result.success) or result.nit >= max_iterations)
+
+
 class TestLBFGS:
     def test_rosenbrock_converges(self):
         minimizer = LBFGSOptimizer(max_iterations=500)
@@ -126,6 +150,65 @@ class TestLBFGS:
     def test_invalid_config_rejected(self):
         with pytest.raises(OptimizationError):
             LBFGSOptimizer(max_iterations=0)
+        with pytest.raises(OptimizationError):
+            LockstepLBFGSB(max_iterations=0)
+
+    @pytest.mark.parametrize(
+        ("fun", "x0", "max_iterations"),
+        [
+            (rosenbrock, [-1.2, 1.0], 500),
+            (rosenbrock, [-1.2, 1.0], 7),  # stops on the iteration cap
+            (quadratic(np.array([1.0, -2.0, 3.0]), np.array([1.0, 10.0, 100.0])),
+             [0.1, 0.2, 0.3], 200),
+            (kinked, [1.7, -0.4, 2.2, 0.9], 200),  # ends on a failed line search
+        ],
+        ids=["rosenbrock", "rosenbrock-capped", "quadratic", "kinked"],
+    )
+    def test_one_row_matches_scipy(self, fun, x0, max_iterations):
+        x0 = np.asarray(x0, dtype=np.float64)
+        outcome = LBFGSOptimizer(max_iterations).minimize(fun, x0)
+        assert_matches_scipy(outcome, scipy_lbfgsb(fun, x0, max_iterations), max_iterations)
+
+    @pytest.mark.parametrize("n_restarts", [1, 7, 45])
+    def test_lockstep_rows_match_scipy(self, n_restarts):
+        # More restarts than the lockstep width exercises slot reuse.
+        rng = np.random.default_rng(n_restarts)
+        z0 = rng.normal(0.0, 1.5, size=(n_restarts, 2))
+
+        def batched(rows):
+            pairs = [rosenbrock(row) for row in rows]
+            return np.array([v for v, _ in pairs]), np.stack([g for _, g in pairs])
+
+        z, values, masks = LockstepLBFGSB(max_iterations=60).minimize(batched, z0)
+        for row in range(n_restarts):
+            result = scipy_lbfgsb(rosenbrock, z0[row], 60)
+            assert np.array_equal(z[row], result.x)
+            assert values[row] == result.fun
+            assert masks.n_iterations[row] == result.nit
+            assert masks.converged[row] == (bool(result.success) or result.nit >= 60)
+        assert not masks.pruned.any()
+        assert optimizer_module.LBFGSB_LOCKSTEP_WIDTH < 45
+
+    def test_lockstep_nonfinite_start_names_restart(self):
+        def batched(rows):
+            values = np.where(rows[:, 0] > 2.5, np.nan, (rows * rows).sum(axis=1))
+            return values, 2.0 * rows
+
+        z0 = np.arange(8, dtype=np.float64).reshape(4, 2)
+        with pytest.raises(OptimizationError, match="restart 2"):
+            LockstepLBFGSB().minimize(batched, z0)
+
+    def test_prune_margin_freezes_dominated_restarts(self):
+        # Rows started far from the minimum trail the incumbent at their
+        # first new iterate and are frozen there, unconverged.
+        def batched(rows):
+            return 0.5 * (rows * rows).sum(axis=1), rows.copy()
+
+        z0 = np.array([[0.1, 0.0], [30.0, 30.0], [0.0, 0.2], [-40.0, 10.0]])
+        z, values, masks = LockstepLBFGSB().minimize(batched, z0, prune_margin=1.0)
+        assert masks.pruned.tolist() == [False, True, False, True]
+        assert not masks.converged[masks.pruned].any()
+        assert values.argmin() in (0, 2)
 
 
 class TestFactory:
