@@ -114,21 +114,10 @@ def test_sharded_rank_vs_exhaustive(report, bench_json, best_of):
     sharded_s = best_of(
         REPEATS, lambda: sharded.rank(concept, packed, top_k=TOP_K, index=index)
     )
-    sequential_s = best_of(
-        REPEATS,
-        lambda: ShardedRanker(workers=1).rank(
-            concept, packed, top_k=TOP_K, index=index
-        ),
-    )
     speedup = exhaustive_s / sharded_s if sharded_s > 0 else float("inf")
-    sequential_speedup = (
-        exhaustive_s / sequential_s if sequential_s > 0 else float("inf")
-    )
 
     rows = [
         ["exhaustive Ranker", f"{exhaustive_s * 1e3:.2f}", "1.0x"],
-        ["sharded (1 thread)", f"{sequential_s * 1e3:.2f}",
-         f"{sequential_speedup:.1f}x"],
         [f"sharded ({index.n_shards} shards, threaded)",
          f"{sharded_s * 1e3:.2f}", f"{speedup:.1f}x"],
         ["index build (one-off)", f"{build_s * 1e3:.2f}", "-"],
@@ -152,7 +141,6 @@ def test_sharded_rank_vs_exhaustive(report, bench_json, best_of):
         "index_build_seconds": build_s,
         "exhaustive_seconds": exhaustive_s,
         "sharded_seconds": sharded_s,
-        "sharded_sequential_seconds": sequential_s,
         "exhaustive_ops_per_s": 1.0 / exhaustive_s,
         "sharded_ops_per_s": 1.0 / sharded_s,
         "speedup_vs_exhaustive": speedup,

@@ -51,15 +51,11 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    total = int(offsets[-1])
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets[:-1], lengths)
-        + np.repeat(starts, lengths)
-    )
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    index = np.repeat(starts - (ends - lengths), lengths)
+    index += np.arange(total, dtype=np.int64)
+    return index
 
 
 def _expanded_min_kernel(
@@ -71,15 +67,21 @@ def _expanded_min_kernel(
 
         sum_j w_j (x_j - t_j)^2  =  (X^2) @ w  -  2 X @ (w t)  +  w . t^2
 
-    shared by :meth:`PackedCorpus.min_distances` (full corpus) and
-    :meth:`PackedCorpus.min_distances_at` (gathered subset).  Sharing one
-    formula is load-bearing: the sharded rank path's ordering-identical
-    guarantee relies on both paths computing bit-identical distances, so
-    any change to the term order here changes both together.
+    behind every rank path (:meth:`PackedCorpus.min_distances` over the
+    whole corpus, :meth:`PackedCorpus.min_distances_at` over gathered
+    bags).  Each instance's value depends only on its own row: both row
+    products are ``np.einsum`` reductions, which sum every row with the
+    same instruction sequence however many rows the call holds.  (BLAS
+    ``gemv`` does not — it computes the last ``n mod 4`` rows of a call
+    with a remainder kernel, so a row could round differently depending
+    on how many rows were gathered with it.)  A bag's distance is
+    therefore bitwise the same whether it is scored with the full corpus,
+    in a shard, in a chunk of any size or in a scatter fragment, and
+    byte-identical bags always tie and order by id.
     """
     weighted_t = concept.w * concept.t
-    per_instance = squares @ concept.w
-    per_instance -= 2.0 * (rows @ weighted_t)
+    per_instance = np.einsum("ij,j->i", squares, concept.w)
+    per_instance -= 2.0 * np.einsum("ij,j->i", rows, weighted_t)
     per_instance += float(weighted_t @ concept.t)
     np.maximum(per_instance, 0.0, out=per_instance)
     return np.minimum.reduceat(per_instance, reduce_offsets)
@@ -121,7 +123,9 @@ class PackedCorpus:
         image_ids: Sequence[str],
         categories: Sequence[str],
     ) -> None:
-        matrix = np.asarray(instances, dtype=np.float64)
+        # C order keeps every instance row contiguous, which the row
+        # invariance of the scoring kernel relies on.
+        matrix = np.asarray(instances, dtype=np.float64, order="C")
         if matrix.ndim != 2:
             raise DatabaseError(
                 f"packed instances must form a 2-D matrix, got shape {matrix.shape}"
@@ -365,16 +369,11 @@ class PackedCorpus:
     def min_distances(self, concept: LearnedConcept) -> np.ndarray:
         """Per-image min weighted squared distance to the concept.
 
-        Uses the expanded quadratic form over the stacked matrix ``X``::
-
-            sum_j w_j (x_j - t_j)^2  =  (X^2) @ w  -  2 X @ (w t)  +  w . t^2
-
-        where ``X^2`` is squared once per corpus and cached, so each query
-        costs two matrix-vector products plus a segmented minimum per bag
+        Evaluates :func:`_expanded_min_kernel` over the stacked matrix
+        ``X``, with ``X^2`` squared once per corpus and cached, so each
+        query costs two row-product passes plus a segmented minimum per bag
         (``np.minimum.reduceat``) — no per-query ``(N, d)`` temporaries.
-        Distances agree with the naive per-bag formula to ~1e-15 relative
-        (clamped at zero); the equivalence suite asserts the resulting
-        *orderings* are identical to the reference loop.
+        Bitwise equal to :meth:`min_distances_at` for every bag.
 
         Raises:
             DatabaseError: if the concept's dimensionality does not match
@@ -382,11 +381,7 @@ class PackedCorpus:
         """
         if self.n_bags == 0:
             return np.zeros(0)
-        if concept.n_dims != self.n_dims:
-            raise DatabaseError(
-                f"concept has {concept.n_dims} dims but the packed corpus "
-                f"holds {self.n_dims}"
-            )
+        self._check_concept(concept)
         if self._squared is None:
             object.__setattr__(self, "_squared", self.instances * self.instances)
         return _expanded_min_kernel(
@@ -399,10 +394,11 @@ class PackedCorpus:
         """Per-bag min weighted squared distances for a subset of bags.
 
         The pruned rank path evaluates surviving bags in memory-bounded
-        chunks: the selected bags' rows are gathered in one fancy-index
-        pass and scored with the same expanded quadratic form as
-        :meth:`min_distances` (reusing the cached squares when they exist),
-        so chunked evaluation never materialises an ``(N, d)`` temporary.
+        chunks: the selected bags' rows are gathered in one ``take``
+        pass and scored with the same kernel as :meth:`min_distances`
+        (reusing the cached squares when they exist), so
+        ``min_distances_at(c, order)`` equals ``min_distances(c)[order]``
+        bit for bit, whatever the order or size of the subset.
 
         Args:
             bag_indices: positions (0-based) of the bags to score, in the
@@ -412,11 +408,7 @@ class PackedCorpus:
             DatabaseError: on an out-of-range index or a concept whose
                 dimensionality does not match the corpus.
         """
-        if concept.n_dims != self.n_dims:
-            raise DatabaseError(
-                f"concept has {concept.n_dims} dims but the packed corpus "
-                f"holds {self.n_dims}"
-            )
+        self._check_concept(concept)
         chosen = np.asarray(bag_indices, dtype=np.int64).reshape(-1)
         if chosen.size == 0:
             return np.zeros(0)
@@ -425,17 +417,26 @@ class PackedCorpus:
                 f"bag indices must lie in [0, {self.n_bags}), got "
                 f"[{chosen.min()}, {chosen.max()}]"
             )
-        lengths = self.lengths[chosen]
-        starts = self.offsets[:-1][chosen]
-        local_offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        starts = self.offsets[chosen]
+        lengths = self.offsets[chosen + 1] - starts
         row_index = concat_ranges(starts, lengths)
-        rows = self.instances[row_index]
+        rows = self.instances.take(row_index, axis=0)
         squares = (
-            self._squared[row_index]
+            self._squared.take(row_index, axis=0)
             if self._squared is not None
             else np.square(rows)
         )
-        return _expanded_min_kernel(rows, squares, concept, local_offsets[:-1])
+        return _expanded_min_kernel(
+            rows, squares, concept, np.cumsum(lengths) - lengths
+        )
+
+    def _check_concept(self, concept: LearnedConcept) -> None:
+        """Raise :class:`DatabaseError` unless the concept's dims match."""
+        if concept.n_dims != self.n_dims:
+            raise DatabaseError(
+                f"concept has {concept.n_dims} dims but the packed corpus "
+                f"holds {self.n_dims}"
+            )
 
     # ------------------------------------------------------------------ #
     # Rank index (repro.core.sharding)                                    #
@@ -882,6 +883,28 @@ def build_result(
     return RetrievalResult(ranked, total_candidates=total)
 
 
+def rank_exhaustive(
+    concept: LearnedConcept,
+    packed: PackedCorpus,
+    keep: np.ndarray,
+    top_k: int | None,
+) -> RetrievalResult:
+    """Score every kept bag in one kernel pass and order by ``(distance, id)``.
+
+    The selection both rankers end in when nothing is pruned: the
+    exhaustive branch of :meth:`Ranker.rank`, and
+    :meth:`~repro.core.sharding.ShardedRanker.rank` when ``top_k`` covers
+    every surviving bag.
+    """
+    if not keep.any():
+        return RetrievalResult((), total_candidates=0)
+    distances = packed.min_distances(concept)[keep]
+    ids = packed.id_array[keep]
+    categories = packed.category_array[keep]
+    order = top_order(ids, distances, top_k)
+    return build_result(ids, categories, distances, order, int(ids.size))
+
+
 class Ranker:
     """Vectorised top-k ranking of a corpus against a learned concept.
 
@@ -893,38 +916,22 @@ class Ranker:
     :attr:`RetrievalResult.total_candidates`.
 
     Large corpora take the bound-pruned path instead: a ``top_k`` query
-    over a :class:`PackedCorpus` of at least ``min_shard_bags`` bags is
-    routed through :class:`repro.core.sharding.ShardedRanker`, which skips
-    every bag whose geometric lower bound proves it cannot enter the top
-    ``k``.  The routed ranking is ordering-identical to the exhaustive one
-    (the pruning bound is exact), so routing is purely a performance
-    decision.  A corpus view no cache owns (every ephemeral view
-    :func:`packed_view` creates) is always ranked exhaustively, so no
-    query pays for a throwaway index build.
+    over a :class:`PackedCorpus` of at least :data:`AUTO_SHARD_MIN_BAGS`
+    bags is routed through :class:`repro.core.sharding.ShardedRanker`,
+    which skips every bag whose geometric lower bound proves it cannot
+    enter the top ``k``.  Both paths score bags with the same row-invariant
+    kernel, so the routed ranking equals the exhaustive one, distances
+    included, and routing is purely a performance decision.  A corpus view
+    no cache owns (every ephemeral view :func:`packed_view` creates) is
+    always ranked exhaustively, so no query pays for a throwaway index
+    build.
 
     Args:
         auto_shard: allow routing through the shard index (default on).
-        min_shard_bags: corpus size at which routing starts.
-        workers: thread-pool width for the sharded path (``None`` = one
-            thread per shard, capped by the machine).
     """
 
-    def __init__(
-        self,
-        *,
-        auto_shard: bool = True,
-        min_shard_bags: int = AUTO_SHARD_MIN_BAGS,
-        workers: int | None = None,
-    ) -> None:
-        if min_shard_bags < 1:
-            raise DatabaseError(
-                f"min_shard_bags must be >= 1, got {min_shard_bags}"
-            )
-        if workers is not None and workers < 1:
-            raise DatabaseError(f"workers must be >= 1 or None, got {workers}")
+    def __init__(self, *, auto_shard: bool = True) -> None:
         self._auto_shard = auto_shard
-        self._min_shard_bags = min_shard_bags
-        self._workers = workers
 
     def rank(
         self,
@@ -963,27 +970,20 @@ class Ranker:
             self._auto_shard
             and top_k is not None
             and packed.rank_index_enabled
-            and packed.n_bags >= self._min_shard_bags
+            and packed.n_bags >= AUTO_SHARD_MIN_BAGS
         ):
             from repro.core.sharding import ShardedRanker
 
-            return ShardedRanker(workers=self._workers).rank(
+            return ShardedRanker().rank(
                 concept,
                 packed,
                 top_k=top_k,
                 exclude=exclude,
                 category_filter=category_filter,
             )
-        if packed.n_bags == 0:
-            return RetrievalResult((), total_candidates=0)
-        keep = keep_mask(packed, exclude, category_filter)
-        if not keep.any():
-            return RetrievalResult((), total_candidates=0)
-        distances = packed.min_distances(concept)[keep]
-        ids = packed.id_array[keep]
-        categories = packed.category_array[keep]
-        order = top_order(ids, distances, top_k)
-        return build_result(ids, categories, distances, order, int(ids.size))
+        return rank_exhaustive(
+            concept, packed, keep_mask(packed, exclude, category_filter), top_k
+        )
 
 
 def rank_by_loop(

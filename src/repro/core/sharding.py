@@ -21,9 +21,10 @@ floor scaled to the corpus/query magnitude
 difference between the clip-form bound and the expanded-form kernel,
 including its cancellation error near distance 0) and ties at the cutoff
 are always evaluated, so a bag whose exact distance
-ties the kth-best (and might win on the id tie-break) is never skipped:
-the pruned ranking is **ordering-identical** to the exhaustive one,
-asserted by the equivalence suites.
+ties the kth-best (and might win on the id tie-break) is never skipped.
+Evaluated bags are scored by the same row-invariant kernel as the
+exhaustive path, so the pruned ranking equals the exhaustive one,
+distances included, asserted by the equivalence suites.
 
 :class:`ShardIndex` precomputes the envelopes once per corpus (cached on
 the :class:`~repro.core.retrieval.PackedCorpus`, so corpus mutation —
@@ -45,10 +46,8 @@ corpus was ingested in.
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
@@ -58,10 +57,10 @@ from repro.core.concept import LearnedConcept
 from repro.core.retrieval import (
     PackedCorpus,
     RetrievalResult,
-    Ranker,
     build_result,
     concat_ranges,
     keep_mask,
+    rank_exhaustive,
     top_order,
 )
 from repro.errors import DatabaseError
@@ -102,66 +101,30 @@ PRUNE_FLOOR_SAFETY = 8.0
 
 
 _POOL_LOCK = threading.Lock()
-_SHARED_POOLS: "OrderedDict[int | None, ThreadPoolExecutor]" = OrderedDict()
-#: Cap on cached shard-scan pools.  Widths are configuration, not traffic,
-#: so a handful suffices — but a caller sweeping widths (benchmarks, a
-#: misconfigured client) must not leak one live executor per width
-#: forever, so least-recently-used pools beyond the cap are shut down.
-MAX_POOL_CACHE = 8
+_POOL: ThreadPoolExecutor | None = None
 
 
-def _shared_pool(workers: int | None = None) -> ThreadPoolExecutor:
-    """The process-wide shard-scan thread pool for a width, created on first use.
+def _shared_pool() -> ThreadPoolExecutor:
+    """The process-wide shard-scan thread pool, created on first use.
 
     A routed query's scan targets single-digit milliseconds, so paying
     thread spawn/teardown per query (every :meth:`Ranker.rank` call
     constructs a fresh :class:`ShardedRanker`) would cost a double-digit
-    share of the budget.  Pools are cached per requested width — ``None``
-    (the machine-sized default) and every explicit ``workers`` value get
-    one long-lived executor each, so pinned-width callers (serving knobs,
-    benchmarks) stop spawning a throwaway pool per query.  The cache is
-    LRU-bounded at :data:`MAX_POOL_CACHE` widths; an evicted pool is shut
-    down without waiting (its already-queued scans still finish — only
-    new submissions are refused, and a re-requested width simply gets a
-    fresh pool).  All cached pools are shut down at interpreter exit via
-    :func:`atexit`.  numpy releases the GIL inside the kernels, concurrent
-    ``map`` calls interleave safely, and the deterministic merge makes
-    scheduling invisible in the output.
+    share of the budget.  One machine-sized pool (a thread per core,
+    capped at :data:`MAX_AUTO_SHARDS`) serves every query for the life of
+    the process; ``concurrent.futures`` joins its idle threads at
+    interpreter exit.  numpy releases the GIL inside the kernels,
+    concurrent ``map`` calls interleave safely, and the deterministic
+    merge makes scheduling invisible in the output.
     """
-    evicted = None
+    global _POOL
     with _POOL_LOCK:
-        pool = _SHARED_POOLS.get(workers)
-        if pool is None:
-            width = (
-                min(MAX_AUTO_SHARDS, max(1, os.cpu_count() or 2))
-                if workers is None
-                else workers
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(
+                max_workers=min(MAX_AUTO_SHARDS, max(1, os.cpu_count() or 2)),
+                thread_name_prefix="repro-shard",
             )
-            suffix = "auto" if workers is None else str(workers)
-            pool = ThreadPoolExecutor(
-                max_workers=width,
-                thread_name_prefix=f"repro-shard-{suffix}",
-            )
-            _SHARED_POOLS[workers] = pool
-            if len(_SHARED_POOLS) > MAX_POOL_CACHE:
-                _, evicted = _SHARED_POOLS.popitem(last=False)
-        else:
-            _SHARED_POOLS.move_to_end(workers)
-    if evicted is not None:
-        evicted.shutdown(wait=False)
-    return pool
-
-
-def _shutdown_shared_pools() -> None:
-    """Shut down every cached shard-scan pool (registered with atexit)."""
-    with _POOL_LOCK:
-        pools = list(_SHARED_POOLS.values())
-        _SHARED_POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=False)
-
-
-atexit.register(_shutdown_shared_pools)
+        return _POOL
 
 
 def _cutoff(threshold: float, floor: float) -> float:
@@ -247,6 +210,10 @@ class ShardIndex:
                 f"shard index envelopes must have shape {expected}, got "
                 f"{lower.shape} and {upper.shape}"
             )
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            # A NaN slips past ``lower > upper`` and would silently prune
+            # its bag (and its whole group) from every ranking.
+            raise DatabaseError("shard index envelopes must be finite")
         if np.any(lower > upper):
             raise DatabaseError("shard index envelope has lower > upper")
         if (
@@ -567,44 +534,29 @@ def seed_threshold(
 class ShardedRanker:
     """Exact top-k ranking that skips bags the lower bound rules out.
 
-    Produces orderings identical to the exhaustive
-    :class:`~repro.core.retrieval.Ranker` (and therefore to
-    :func:`~repro.core.retrieval.rank_by_loop`) for every input — the
-    bound is geometric and the pruning cutoff slack-widened
+    Produces the same result as the exhaustive
+    :class:`~repro.core.retrieval.Ranker`, distances included, and the
+    same ordering as :func:`~repro.core.retrieval.rank_by_loop` for every
+    input: the bound is geometric, the pruning cutoff slack-widened
     (:data:`PRUNE_SLACK` plus the absolute
-    :meth:`ShardIndex.prune_floor`), so no tie-break or rounding case can
-    diverge.
+    :meth:`ShardIndex.prune_floor`), and every evaluated bag is scored by
+    the row-invariant kernel the exhaustive path uses, so no tie-break or
+    rounding case can diverge.
     Queries that cannot prune (``top_k`` ``None`` or at least the
-    surviving pool size) fall back to the exhaustive kernel.
+    surviving pool size) take the exhaustive selection
+    (:func:`~repro.core.retrieval.rank_exhaustive`).  Shards fan out over
+    the shared machine-sized pool (:func:`_shared_pool` — no per-query
+    thread spawn on the serving hot path).
 
     Args:
-        n_shards: rank over a private index with this many shards, built
-            per call (``None`` uses the corpus's cached, automatically
-            partitioned index — the serving path).  Tests and benchmarks
-            use it to vary the partition; it never touches the cache.
-        workers: thread-pool width; ``None`` fans out over the shared
-            machine-sized pool (:func:`_shared_pool` — no per-query thread
-            spawn on the serving hot path), an explicit width fans out
-            over a cached pool of that width, ``1`` scans shards
-            sequentially.
-        chunk_bags: bags evaluated per kernel call inside a shard scan.
+        chunk_bags: bags evaluated per kernel call inside a shard scan
+            (the memory bound: one chunk of gathered instance rows is the
+            largest per-query temporary).
     """
 
-    def __init__(
-        self,
-        *,
-        n_shards: int | None = None,
-        workers: int | None = None,
-        chunk_bags: int = DEFAULT_CHUNK_BAGS,
-    ) -> None:
-        if n_shards is not None and n_shards < 1:
-            raise DatabaseError(f"n_shards must be >= 1, got {n_shards}")
-        if workers is not None and workers < 1:
-            raise DatabaseError(f"workers must be >= 1 or None, got {workers}")
+    def __init__(self, *, chunk_bags: int = DEFAULT_CHUNK_BAGS) -> None:
         if chunk_bags < 1:
             raise DatabaseError(f"chunk_bags must be >= 1, got {chunk_bags}")
-        self._n_shards = n_shards
-        self._workers = workers
         self._chunk_bags = chunk_bags
 
     def rank(
@@ -635,22 +587,11 @@ class ShardedRanker:
         if top_k is not None and top_k < 1:
             raise DatabaseError(f"top_k must be >= 1 or None, got {top_k}")
         packed = PackedCorpus.coerce(corpus)
-        if packed.n_bags == 0:
-            return RetrievalResult((), total_candidates=0)
-        exclude = tuple(exclude)  # consumed twice when the fallback runs
         keep = keep_mask(packed, exclude, category_filter)
         total = int(np.count_nonzero(keep))
-        if total == 0:
-            return RetrievalResult((), total_candidates=0)
         if top_k is None or top_k >= total:
             # Nothing can be pruned — every survivor must be ranked.
-            return Ranker(auto_shard=False).rank(
-                concept,
-                packed,
-                top_k=top_k,
-                exclude=exclude,
-                category_filter=category_filter,
-            )
+            return rank_exhaustive(concept, packed, keep, top_k)
         candidate_idx, candidate_dist, _ = self._scan(
             concept, packed, index, keep, top_k, 0, packed.n_bags, np.inf
         )
@@ -687,8 +628,8 @@ class ShardedRanker:
         distance can reach the global top-k (trimming only drops distances
         strictly above the fragment's kth-smallest, which is >= the global
         kth-best because the fragment's candidates are a subset of the
-        query's), the distances come from the same expanded-form kernel
-        over the same float64 data, and disjoint ranges mean no bag is
+        query's), every bag's distance is bitwise the same however its
+        rows were gathered (the kernel is row-invariant), and disjoint ranges mean no bag is
         ever a candidate twice.
 
         ``initial_threshold`` pre-seeds the shared pruning threshold; any
@@ -743,11 +684,7 @@ class ShardedRanker:
                 f"holds {packed.n_dims}"
             )
         if index is None:
-            index = (
-                packed.shard_index()
-                if self._n_shards is None
-                else ShardIndex.build(packed, n_shards=self._n_shards)
-            )
+            index = packed.shard_index()
         elif index.corpus is not packed:
             # A same-shaped index over *different* instances would prune
             # silently wrong; the index carries its corpus, so identity is
@@ -771,8 +708,8 @@ class ShardedRanker:
         scan = lambda span: self._shard_candidates(  # noqa: E731
             packed, concept, index, keep, top_k, box, floor, *span
         )
-        if len(spans) > 1 and (self._workers is None or self._workers > 1):
-            parts = list(_shared_pool(self._workers).map(scan, spans))
+        if len(spans) > 1:
+            parts = list(_shared_pool().map(scan, spans))
         else:
             parts = [scan(span) for span in spans]
         idx = np.concatenate([part[0] for part in parts])

@@ -190,8 +190,8 @@ class TestRankIndexRoundTrip:
         """v4 files written while callers could pin the shard count carry
         that partition; it loads as persisted and ranks like the loop."""
         from repro.core.concept import LearnedConcept
-        from repro.core.retrieval import Ranker, rank_by_loop
-        from repro.core.sharding import ShardIndex
+        from repro.core.retrieval import rank_by_loop
+        from repro.core.sharding import ShardedRanker, ShardIndex
 
         packed = tiny_scene_db.packed()
         pinned = packed.select(packed.image_ids)
@@ -212,7 +212,7 @@ class TestRankIndexRoundTrip:
                 w=rng.uniform(0.1, 1.0, view.n_dims),
                 nll=0.0,
             )
-            routed = Ranker(min_shard_bags=1).rank(concept, view, top_k=7)
+            routed = ShardedRanker().rank(concept, view, top_k=7)
             assert view.cached_shard_index is adopted  # the persisted one
             reference = rank_by_loop(concept, restored.retrieval_candidates())
             assert routed.image_ids == reference.image_ids[:7]
@@ -276,6 +276,27 @@ class TestRankIndexRoundTrip:
         np.savez_compressed(corrupt, **arrays)
         with pytest.raises(DatabaseError, match="shard-index"):
             load_database(corrupt)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_non_finite_index_envelope_rejected(self, side):
+        """A NaN in a persisted envelope passes ``lower > upper``; loading
+        it would silently prune that bag (and its group) from every
+        ranking, so the restore raises instead."""
+        from repro.database.persistence import (
+            database_from_payload,
+            database_payload,
+        )
+
+        database, _, _ = self._warm_db_with_index()
+        manifest, arrays = database_payload(database)
+        key = manifest["packed"]["index"][side]
+        tampered = dict(arrays)
+        tampered[key] = arrays[key].copy()
+        tampered[key][0, 0] = np.nan
+        with pytest.raises(DatabaseError, match="finite"):
+            database_from_payload(manifest, tampered)
+        restored = database_from_payload(manifest, arrays)
+        assert restored.cached_packed.cached_shard_index is not None
 
     def test_restored_index_ranks_identically(self, tmp_path):
         """Ranking over the restored packed view matches the original."""
@@ -384,8 +405,7 @@ class TestPersistenceV4:
         tier carry a ``packed.ann`` entry plus its arrays; they load and
         rank exactly like the same snapshot without them."""
         from repro.core.concept import LearnedConcept
-        from repro.core.retrieval import Ranker
-        from repro.core.sharding import ShardIndex
+        from repro.core.sharding import ShardedRanker, ShardIndex
 
         packed = tiny_scene_db.packed()
         reordered, _ = packed.reordered_by_centroid()
@@ -418,7 +438,7 @@ class TestPersistenceV4:
             t=plain.instances[3], w=np.linspace(0.5, 1.5, plain.n_dims), nll=0.0
         )
         for top_k in (None, 4):
-            expected = Ranker(min_shard_bags=1).rank(concept, plain, top_k=top_k)
-            got = Ranker(min_shard_bags=1).rank(concept, legacy, top_k=top_k)
+            expected = ShardedRanker().rank(concept, plain, top_k=top_k)
+            got = ShardedRanker().rank(concept, legacy, top_k=top_k)
             assert got.image_ids == expected.image_ids
             np.testing.assert_array_equal(got.distances, expected.distances)

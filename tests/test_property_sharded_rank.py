@@ -14,21 +14,35 @@ pruning cutoff, since a tied bag may still win on the id tie-break —
 common rather than measure-zero, and makes cross-implementation
 comparisons exact instead of tolerance-based.
 
+Dyadic grids hide rounding, so a second family of properties draws
+*normal-distributed* values (plus byte-identical copies of some bags, so
+exact ties still occur) and requires bitwise-equal distances: the kernel
+is row-invariant, so :meth:`~repro.core.retrieval.PackedCorpus.min_distances_at`
+over any gathered subset equals the full pass, and the exhaustive, sharded
+(any partition, chunk size or thread count) and merged-fragment paths
+return identical results.
+
 Re-packing a corpus in clustered-centroid order
 (:meth:`~repro.core.retrieval.PackedCorpus.reordered_by_centroid`) must
 never change a ranking either, and the permutation's id sequence must be
 identical for any ingestion order of the same bags.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import retrieval
 from repro.core.concept import LearnedConcept
 from repro.core.retrieval import (
     PackedCorpus,
     Ranker,
     RetrievalCandidate,
+    build_result,
+    keep_mask,
     rank_by_loop,
+    top_order,
 )
 from repro.core.sharding import ShardIndex, ShardedRanker, centroid_order
 
@@ -101,9 +115,10 @@ def test_sharded_matches_exhaustive_and_loop(data, packed):
     exclude = data.draw(st.sets(st.sampled_from(packed.image_ids)))
     category_filter = data.draw(st.sampled_from([None, "a"]))
 
-    sharded = ShardedRanker(n_shards=n_shards, chunk_bags=chunk_bags).rank(
+    sharded = ShardedRanker(chunk_bags=chunk_bags).rank(
         concept, packed, top_k=top_k, exclude=exclude,
         category_filter=category_filter,
+        index=ShardIndex.build(packed, n_shards=n_shards),
     )
     exhaustive = Ranker(auto_shard=False).rank(
         concept, packed, top_k=top_k, exclude=exclude,
@@ -127,7 +142,8 @@ def test_sharded_matches_exhaustive_and_loop(data, packed):
 def test_auto_routed_ranker_is_exact(data, packed):
     concept = data.draw(concepts_for(packed.n_dims))
     top_k = data.draw(st.sampled_from([1, 2, packed.n_bags]))
-    routed = Ranker(min_shard_bags=1).rank(concept, packed, top_k=top_k)
+    with mock.patch.object(retrieval, "AUTO_SHARD_MIN_BAGS", 1):
+        routed = Ranker().rank(concept, packed, top_k=top_k)
     exhaustive = Ranker(auto_shard=False).rank(concept, packed, top_k=top_k)
     assert_same_ranking(routed, exhaustive)
 
@@ -145,20 +161,23 @@ def test_lower_bounds_are_valid_and_exact_on_dyadic_grids(data, packed):
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), packed=corpora())
-def test_threaded_scan_is_deterministic(data, packed):
+def test_threaded_scan_is_deterministic(scan_pool, data, packed):
     concept = data.draw(concepts_for(packed.n_dims))
     top_k = min(3, packed.n_bags)
-    reference = ShardedRanker(n_shards=packed.n_bags, workers=1).rank(
-        concept, packed, top_k=top_k
-    )
-    for _ in range(3):
-        threaded = ShardedRanker(n_shards=packed.n_bags, workers=4).rank(
-            concept, packed, top_k=top_k
+    index = ShardIndex.build(packed, n_shards=packed.n_bags)
+    with scan_pool(1):
+        reference = ShardedRanker().rank(
+            concept, packed, top_k=top_k, index=index
         )
-        assert threaded.image_ids == reference.image_ids
-        np.testing.assert_array_equal(
-            threaded.distances, reference.distances
-        )
+    with scan_pool(4):
+        for _ in range(3):
+            threaded = ShardedRanker().rank(
+                concept, packed, top_k=top_k, index=index
+            )
+            assert threaded.image_ids == reference.image_ids
+            np.testing.assert_array_equal(
+                threaded.distances, reference.distances
+            )
 
 
 def test_mutation_invalidates_the_cached_index():
@@ -190,7 +209,7 @@ def test_mutation_invalidates_the_cached_index():
         w=rng.uniform(0.1, 1.0, packed_after.n_dims),
         nll=0.0,
     )
-    routed = Ranker(min_shard_bags=1).rank(concept, packed_after, top_k=5)
+    routed = ShardedRanker().rank(concept, packed_after, top_k=5)
     exhaustive = Ranker(auto_shard=False).rank(concept, packed_after, top_k=5)
     assert routed.image_ids == exhaustive.image_ids
     assert new_id in packed_after.image_ids
@@ -251,6 +270,126 @@ def test_centroid_order_ids_are_ingestion_order_independent(data, packed):
         for i in centroid_order(shuffled, group_size=group_size)
     ]
     assert ids_a == ids_b
+
+
+@st.composite
+def normal_corpora(draw):
+    """A small packed corpus of normal-distributed (non-dyadic) values.
+
+    Coordinates get their own scale and offset, so the expanded kernel's
+    terms differ in magnitude; some bags are byte-identical copies of
+    others (exact ties), and the row count takes every residue mod 4.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_bags = draw(st.integers(1, 40))
+    n_dims = draw(st.integers(1, 9))
+    scale = rng.uniform(0.1, 10.0, size=n_dims)
+    shift = rng.normal(scale=5.0, size=n_dims)
+    matrices = [
+        rng.normal(size=(int(rng.integers(1, 6)), n_dims)) * scale + shift
+        for _ in range(n_bags)
+    ]
+    for _ in range(draw(st.integers(0, n_bags // 2))):
+        source, target = rng.integers(n_bags, size=2)
+        matrices[target] = matrices[source].copy()
+    ids = [f"img-{position:03d}" for position in rng.permutation(n_bags)]
+    categories = rng.choice(["a", "b"], size=n_bags).tolist()
+    return PackedCorpus.pack(ids, categories, matrices)
+
+
+@st.composite
+def normal_concepts(draw, packed):
+    """A concept near one instance (so top ranks are contested) with
+    random non-negative weights, some of them zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    anchor = packed.instances[rng.integers(packed.n_instances)]
+    t = anchor + rng.normal(scale=draw(st.sampled_from([0.0, 0.01, 1.0])),
+                            size=packed.n_dims)
+    w = rng.uniform(0.0, 2.0, size=packed.n_dims)
+    w[rng.random(packed.n_dims) < 0.2] = 0.0
+    return LearnedConcept(t=t, w=w, nll=0.0)
+
+
+def assert_identical_results(got, want):
+    assert got.image_ids == want.image_ids
+    assert [e.category for e in got] == [e.category for e in want]
+    assert [e.rank for e in got] == [e.rank for e in want]
+    assert got.total_candidates == want.total_candidates
+    np.testing.assert_array_equal(got.distances, want.distances)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), packed=normal_corpora())
+def test_min_distances_at_is_bitwise_min_distances(data, packed):
+    concept = data.draw(normal_concepts(packed))
+    order = np.array(data.draw(st.permutations(range(packed.n_bags))))
+    size = data.draw(st.integers(1, packed.n_bags))
+    chunk = data.draw(st.integers(1, packed.n_bags))
+    # Before the full pass: squares computed per gather, not cached.
+    gathered = packed.min_distances_at(concept, order)
+    full = packed.min_distances(concept)
+    np.testing.assert_array_equal(gathered, full[order])
+    np.testing.assert_array_equal(
+        packed.min_distances_at(concept, order[:size]), full[order[:size]]
+    )
+    pieces = [
+        packed.min_distances_at(concept, order[i : i + chunk])
+        for i in range(0, order.size, chunk)
+    ]
+    np.testing.assert_array_equal(np.concatenate(pieces), full[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), packed=normal_corpora())
+def test_every_rank_path_returns_identical_results(scan_pool, data, packed):
+    concept = data.draw(normal_concepts(packed))
+    n_bags = packed.n_bags
+    top_k = data.draw(
+        st.sampled_from([1, min(3, n_bags), n_bags, n_bags + 5, None])
+    )
+    exclude = data.draw(st.sets(st.sampled_from(packed.image_ids)))
+    category_filter = data.draw(st.sampled_from([None, "a"]))
+    threads = data.draw(st.sampled_from([1, 2, 4]))
+    query = dict(top_k=top_k, exclude=exclude, category_filter=category_filter)
+
+    exhaustive = Ranker(auto_shard=False).rank(concept, packed, **query)
+    with scan_pool(threads):
+        for n_shards in sorted({1, 3, n_bags}):
+            index = ShardIndex.build(packed, n_shards=n_shards)
+            for chunk_bags in (1, 3, 1024):
+                sharded = ShardedRanker(chunk_bags=chunk_bags).rank(
+                    concept, packed, index=index, **query
+                )
+                assert_identical_results(sharded, exhaustive)
+
+    keep = keep_mask(packed, exclude, category_filter)
+    total = int(np.count_nonzero(keep))
+    if top_k is not None and top_k < total:
+        cuts = sorted(
+            {0, n_bags, *data.draw(st.lists(st.integers(0, n_bags), max_size=4))}
+        )
+        fragments = [
+            ShardedRanker().fragment_candidates(
+                concept, packed, top_k=top_k, start=a, stop=b,
+                exclude=exclude, category_filter=category_filter,
+            )
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        positions = np.concatenate([f[0] for f in fragments])
+        distances = np.concatenate([f[1] for f in fragments])
+        ids = packed.id_array[positions]
+        merged = build_result(
+            ids, packed.category_array[positions], distances,
+            top_order(ids, distances, top_k), total,
+        )
+        assert_identical_results(merged, exhaustive)
+
+    survivors = [
+        c for c in packed.candidates()
+        if category_filter is None or c.category == category_filter
+    ]
+    loop = rank_by_loop(concept, survivors, exclude=exclude)
+    assert exhaustive.image_ids == loop.image_ids[: len(exhaustive)]
 
 
 def clustered_packed(n_bags=240, n_dims=6, seed=7, shuffle_seed=None):

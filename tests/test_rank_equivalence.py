@@ -9,6 +9,7 @@ lexsort over a :class:`~repro.core.retrieval.PackedCorpus`) produces
 * a seeded region-bag corpus (the paper's feature pipeline),
 * a seeded SBN colour corpus (the Maron-Ratan baseline family),
 * synthetic corpora with exact distance ties,
+* byte-identical bags at the first and last row of the stacked matrix,
 * exclusion, category filtering and ``top_k`` truncation.
 """
 
@@ -23,6 +24,7 @@ from repro.core.retrieval import (
     RetrievalCandidate,
     rank_by_loop,
 )
+from repro.core.sharding import ShardedRanker, ShardIndex
 
 
 def seeded_concepts(n_dims: int, n_concepts: int = 3, seed: int = 99):
@@ -173,6 +175,83 @@ class TestTieBreaking:
         reference = rank_by_loop(concept, candidates, exclude=["a-1"])
         assert vectorized.image_ids == reference.image_ids[:3]
         assert vectorized.total_candidates == len(reference)
+
+
+class TestByteIdenticalBags:
+    """Regression: byte-identical bags tie wherever their rows sit.
+
+    ``aaa`` holds the first row of the stacked matrix and ``zzz`` the
+    last.  BLAS ``gemv`` computes the last ``n mod 4`` rows of a call with
+    a remainder kernel, so a kernel built on it could score the two
+    differently and rank ``zzz`` first.  ``rank_by_loop`` scores them
+    alike and orders them by id, and so must every rank path.
+    """
+
+    N_CORPORA = 48
+
+    @staticmethod
+    def corpus(seed):
+        rng = np.random.default_rng([seed, 20])
+        n_dims = int(rng.integers(2, 20))
+        shared = rng.normal(scale=3.0, size=(1, n_dims))
+        ids, matrices = ["aaa"], [shared.copy()]
+        for index in range(int(rng.integers(10, 120))):
+            ids.append(f"mid-{index:03d}")
+            matrices.append(
+                rng.normal(scale=3.0, size=(int(rng.integers(1, 5)), n_dims))
+            )
+        # Single-row fillers put the total row count at every residue
+        # mod 4 across the seeds.
+        while (sum(len(m) for m in matrices) + 1) % 4 != seed % 4:
+            ids.append(f"pad-{len(ids):03d}")
+            matrices.append(rng.normal(scale=3.0, size=(1, n_dims)))
+        ids.append("zzz")
+        matrices.append(shared.copy())
+        packed = PackedCorpus.pack(ids, ["x"] * len(ids), matrices)
+        concept = LearnedConcept(
+            t=shared[0] + rng.normal(scale=0.5, size=n_dims),
+            w=rng.uniform(0.05, 2.0, size=n_dims),
+            nll=0.0,
+        )
+        return packed, concept
+
+    @staticmethod
+    def tie_problem(result):
+        ids = result.image_ids
+        first, last = ids.index("aaa"), ids.index("zzz")
+        if result.ranked[first].distance != result.ranked[last].distance:
+            return "distances differ"
+        if first > last:
+            return "zzz ranked before aaa"
+        return None
+
+    def assert_ties(self, rank):
+        problems = {}
+        for seed in range(self.N_CORPORA):
+            packed, concept = self.corpus(seed)
+            loop = rank_by_loop(concept, packed.candidates())
+            assert self.tie_problem(loop) is None
+            why = self.tie_problem(rank(packed, concept, loop))
+            if why is not None:
+                problems[seed] = why
+        assert problems == {}
+
+    def test_exhaustive_path(self):
+        self.assert_ties(
+            lambda packed, concept, loop: Ranker(auto_shard=False).rank(
+                concept, packed
+            )
+        )
+
+    def test_sharded_path(self):
+        def sharded(packed, concept, loop):
+            top_k = loop.image_ids.index("zzz") + 2
+            return ShardedRanker().rank(
+                concept, packed, top_k=top_k,
+                index=ShardIndex.build(packed, n_shards=3),
+            )
+
+        self.assert_ties(sharded)
 
 
 class TestEngineDelegation:

@@ -19,7 +19,6 @@ from repro.core.sharding import (
     SEED_SAMPLE_BAGS,
     ShardedRanker,
     ShardIndex,
-    _shared_pool,
     seed_threshold,
 )
 from repro.datasets.synth import corpus_from_config
@@ -85,23 +84,18 @@ def _rank_payload(concept, **extra) -> dict:
 
 
 class TestSharedPools:
-    """Satellite: explicit-width ShardedRanker pools are cached, not per-query."""
+    """The shard scan gives the same answer on a pool of any width."""
 
-    def test_pools_cached_per_width(self):
-        assert _shared_pool(3) is _shared_pool(3)
-        assert _shared_pool() is _shared_pool()
-        assert _shared_pool(2) is not _shared_pool(3)
-        assert _shared_pool(3) is not _shared_pool()
-
-    def test_explicit_width_rank_still_exact(self, packed):
+    def test_explicit_width_rank_still_exact(self, packed, scan_pool):
         concept = _concept(packed, bag=7, weight=0.6)
         exhaustive = Ranker(auto_shard=False).rank(concept, packed, top_k=9)
-        for _ in range(3):  # repeated queries reuse the cached pool
-            sharded = ShardedRanker(workers=2).rank(concept, packed, top_k=9)
-            assert sharded.image_ids == exhaustive.image_ids
-            np.testing.assert_array_equal(
-                sharded.distances, exhaustive.distances
-            )
+        with scan_pool(2):
+            for _ in range(3):  # repeated queries reuse the pool
+                sharded = ShardedRanker().rank(concept, packed, top_k=9)
+                assert sharded.image_ids == exhaustive.image_ids
+                np.testing.assert_array_equal(
+                    sharded.distances, exhaustive.distances
+                )
 
 
 class TestSeedThreshold:

@@ -148,6 +148,30 @@ class TestRoundTrip:
         with pytest.raises(DatabaseError, match="shard-index"):
             load_service(tmp_path / "corrupt.npz")
 
+    def test_non_finite_index_envelope_raises_database_error(
+        self, warmed, tmp_path
+    ):
+        import json
+
+        import numpy as np
+
+        from repro.core.sharding import ShardIndex
+        from repro.errors import DatabaseError
+
+        service, _, _ = warmed
+        packed = service.database.packed()
+        packed.adopt_shard_index(ShardIndex.build(packed, n_shards=2))
+        info = save_service(service, tmp_path / "worker.npz")
+        with np.load(info.path) as payload:
+            arrays = {k: payload[k] for k in payload.files}
+        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+        key = manifest["database"]["packed"]["index"]["lower"]
+        arrays[key] = arrays[key].copy()
+        arrays[key][1, 0] = np.nan
+        np.savez_compressed(tmp_path / "nan.npz", **arrays)
+        with pytest.raises(DatabaseError, match="finite"):
+            load_service(tmp_path / "nan.npz")
+
     def test_legacy_database_index_key_still_adopted(self, warmed, tmp_path):
         """Old snapshots stashed the index beside the database payload."""
         import json

@@ -1,9 +1,14 @@
 """Unit tests for the sharded bound-pruned rank index (repro.core.sharding)."""
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.api.service import RetrievalService
+from repro.core import retrieval, sharding
 from repro.core.concept import LearnedConcept
 from repro.core.retrieval import (
     AUTO_SHARD_MIN_BAGS,
@@ -18,6 +23,7 @@ from repro.core.sharding import (
     MAX_AUTO_SHARDS,
     ShardIndex,
     ShardedRanker,
+    _shared_pool,
     shard_boundaries,
 )
 from repro.errors import DatabaseError
@@ -106,6 +112,19 @@ class TestShardIndex:
         with pytest.raises(DatabaseError):
             ShardIndex(packed, good.upper, good.lower, good.boundaries)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_envelopes_rejected(self, bad):
+        # A NaN passes the lower > upper check; a persisted index holding
+        # one would silently prune its bag and the bag's whole group.
+        packed = synthetic_packed(10)
+        good = ShardIndex.build(packed, 2)
+        for side in ("lower", "upper"):
+            arrays = {"lower": good.lower.copy(), "upper": good.upper.copy()}
+            arrays[side][3, 0] = bad
+            with pytest.raises(DatabaseError, match="finite"):
+                ShardIndex(packed, arrays["lower"], arrays["upper"],
+                           good.boundaries)
+
     def test_corpus_caches_index(self):
         packed = synthetic_packed(40)
         assert packed.cached_shard_index is None
@@ -138,36 +157,40 @@ class TestShardIndex:
 class TestShardedRankerEquivalence:
     """Sharded output must be ordering-identical to Ranker and the loop."""
 
-    @pytest.mark.parametrize("n_shards,workers,chunk_bags", [
+    @pytest.mark.parametrize("n_shards,threads,chunk_bags", [
         (1, 1, 1024), (4, 1, 16), (4, 3, 16), (7, 2, 1),
     ])
-    def test_matches_exhaustive_and_loop(self, n_shards, workers, chunk_bags):
+    def test_matches_exhaustive_and_loop(
+        self, scan_pool, n_shards, threads, chunk_bags
+    ):
         packed = synthetic_packed()
+        index = ShardIndex.build(packed, n_shards=n_shards)
         candidates = list(packed.candidates())
-        sharded = ShardedRanker(
-            n_shards=n_shards, workers=workers, chunk_bags=chunk_bags
-        )
-        for seed in range(3):
-            concept = seeded_concept(packed.n_dims, seed)
-            for top_k in (1, 10, packed.n_bags, packed.n_bags + 7, None):
-                fast = sharded.rank(concept, packed, top_k=top_k)
-                slow = Ranker(auto_shard=False).rank(concept, packed,
-                                                     top_k=top_k)
-                assert fast.image_ids == slow.image_ids
-                assert fast.total_candidates == slow.total_candidates
-                np.testing.assert_allclose(
-                    fast.distances, slow.distances, rtol=1e-9
-                )
-            loop = rank_by_loop(concept, candidates)
-            top = sharded.rank(concept, packed, top_k=25)
-            assert top.image_ids == loop.image_ids[:25]
+        sharded = ShardedRanker(chunk_bags=chunk_bags)
+        with scan_pool(threads):
+            for seed in range(3):
+                concept = seeded_concept(packed.n_dims, seed)
+                for top_k in (1, 10, packed.n_bags, packed.n_bags + 7, None):
+                    fast = sharded.rank(concept, packed, top_k=top_k,
+                                        index=index)
+                    slow = Ranker(auto_shard=False).rank(concept, packed,
+                                                         top_k=top_k)
+                    assert fast.image_ids == slow.image_ids
+                    assert fast.total_candidates == slow.total_candidates
+                    np.testing.assert_array_equal(
+                        fast.distances, slow.distances
+                    )
+                loop = rank_by_loop(concept, candidates)
+                top = sharded.rank(concept, packed, top_k=25, index=index)
+                assert top.image_ids == loop.image_ids[:25]
 
     def test_exclude_and_category_filter(self):
         packed = synthetic_packed()
         concept = seeded_concept(packed.n_dims)
         excluded = packed.image_ids[::13]
-        fast = ShardedRanker(n_shards=5, chunk_bags=7).rank(
-            concept, packed, top_k=9, exclude=excluded, category_filter="odd"
+        fast = ShardedRanker(chunk_bags=7).rank(
+            concept, packed, top_k=9, exclude=excluded, category_filter="odd",
+            index=ShardIndex.build(packed, n_shards=5),
         )
         slow = Ranker(auto_shard=False).rank(
             concept, packed, top_k=9, exclude=excluded, category_filter="odd"
@@ -179,8 +202,9 @@ class TestShardedRankerEquivalence:
     def test_single_bag_shards(self):
         packed = synthetic_packed(30)
         concept = seeded_concept(packed.n_dims)
-        fast = ShardedRanker(n_shards=packed.n_bags, chunk_bags=1).rank(
-            concept, packed, top_k=5
+        fast = ShardedRanker(chunk_bags=1).rank(
+            concept, packed, top_k=5,
+            index=ShardIndex.build(packed, n_shards=packed.n_bags),
         )
         slow = Ranker(auto_shard=False).rank(concept, packed, top_k=5)
         assert fast.image_ids == slow.image_ids
@@ -199,14 +223,16 @@ class TestShardedRankerEquivalence:
         ]
         packed = PackedCorpus.from_candidates(candidates)
         concept = seeded_concept(4)
-        fast = ShardedRanker(n_shards=6, chunk_bags=2).rank(
-            concept, packed, top_k=3
+        fast = ShardedRanker(chunk_bags=2).rank(
+            concept, packed, top_k=3, index=ShardIndex.build(packed, n_shards=6)
         )
         slow = Ranker(auto_shard=False).rank(concept, packed, top_k=3)
         assert fast.image_ids == slow.image_ids == ("a-1", "a-9", "m-1")
 
-    @pytest.mark.parametrize("n_shards,workers", [(1, 1), (3, 2)])
-    def test_zero_threshold_cancellation_regime(self, n_shards, workers):
+    @pytest.mark.parametrize("n_shards,threads", [(1, 1), (3, 2)])
+    def test_zero_threshold_cancellation_regime(
+        self, scan_pool, n_shards, threads
+    ):
         # Regression (review of PR 5): relative slack alone gives the
         # cutoff zero width once the running kth-best distance is 0.  A
         # huge translation puts the expanded-form kernel deep in
@@ -228,9 +254,11 @@ class TestShardedRankerEquivalence:
         packed = PackedCorpus.from_candidates(candidates)
         concept = LearnedConcept(t=np.array([t]), w=np.array([1.0]), nll=0.0)
         assert packed.min_distances(concept)[0] == 0.0  # the clamped tie
-        fast = ShardedRanker(n_shards=n_shards, workers=workers).rank(
-            concept, packed, top_k=2
-        )
+        with scan_pool(threads):
+            fast = ShardedRanker().rank(
+                concept, packed, top_k=2,
+                index=ShardIndex.build(packed, n_shards=n_shards),
+            )
         slow = Ranker(auto_shard=False).rank(concept, packed, top_k=2)
         assert fast.image_ids == slow.image_ids == ("aaa-extra", "zzz-000")
 
@@ -260,10 +288,6 @@ class TestShardedRankerEquivalence:
 
     def test_invalid_parameters(self):
         with pytest.raises(DatabaseError):
-            ShardedRanker(n_shards=0)
-        with pytest.raises(DatabaseError):
-            ShardedRanker(workers=0)
-        with pytest.raises(DatabaseError):
             ShardedRanker(chunk_bags=0)
         with pytest.raises(DatabaseError):
             ShardedRanker().rank(
@@ -287,7 +311,7 @@ class TestShardedRankerEquivalence:
         packed = synthetic_packed(20, n_dims=4)
         concept = seeded_concept(4)
         excluded = packed.image_ids[:3]
-        result = ShardedRanker(n_shards=4).rank(
+        result = ShardedRanker().rank(
             concept, packed, top_k=packed.n_bags, exclude=iter(excluded)
         )
         assert not set(excluded) & set(result.image_ids)
@@ -298,10 +322,17 @@ class TestShardedRankerEquivalence:
         concept = seeded_concept(4)
         assert len(ShardedRanker().rank(concept, empty, top_k=3)) == 0
         packed = synthetic_packed(12, n_dims=4)
-        result = ShardedRanker(n_shards=3).rank(
-            concept, packed, top_k=3, exclude=packed.image_ids
+        result = ShardedRanker().rank(
+            concept, packed, top_k=3, exclude=packed.image_ids,
+            index=ShardIndex.build(packed, n_shards=3),
         )
         assert len(result) == 0 and result.total_candidates == 0
+
+
+@pytest.fixture()
+def low_threshold(monkeypatch):
+    """Route corpora of 10 or more bags, so routing tests stay small."""
+    monkeypatch.setattr(retrieval, "AUTO_SHARD_MIN_BAGS", 10)
 
 
 class TestRankerRouting:
@@ -310,47 +341,49 @@ class TestRankerRouting:
         Ranker().rank(seeded_concept(packed.n_dims), packed, top_k=5)
         assert packed.cached_shard_index is None
 
-    def test_low_threshold_ranker_routes_and_caches_the_index(self):
+    def test_low_threshold_ranker_routes_and_caches_the_index(
+        self, low_threshold
+    ):
         packed = synthetic_packed(50)
         concept = seeded_concept(packed.n_dims)
-        routed = Ranker(min_shard_bags=10).rank(concept, packed, top_k=5)
+        routed = Ranker().rank(concept, packed, top_k=5)
         assert packed.cached_shard_index is not None
         exhaustive = Ranker(auto_shard=False).rank(concept, packed, top_k=5)
         assert routed.image_ids == exhaustive.image_ids
+        np.testing.assert_array_equal(routed.distances, exhaustive.distances)
 
-    def test_full_rankings_never_route(self):
+    def test_full_rankings_never_route(self, low_threshold):
         packed = synthetic_packed(50)
-        Ranker(min_shard_bags=10).rank(seeded_concept(packed.n_dims), packed)
+        Ranker().rank(seeded_concept(packed.n_dims), packed)
         assert packed.cached_shard_index is None
 
-    def test_policy_disables_routing(self):
+    def test_policy_disables_routing(self, low_threshold):
         packed = synthetic_packed(50)
         packed.configure_rank_index(enabled=False)
-        Ranker(min_shard_bags=10).rank(
-            seeded_concept(packed.n_dims), packed, top_k=5
-        )
+        Ranker().rank(seeded_concept(packed.n_dims), packed, top_k=5)
         assert packed.cached_shard_index is None
+        routable = synthetic_packed(50)
+        Ranker(auto_shard=False).rank(
+            seeded_concept(routable.n_dims), routable, top_k=5
+        )
+        assert routable.cached_shard_index is None
 
     def test_pinned_shard_count_never_touches_the_cached_index(self):
-        # ShardedRanker(n_shards=k) ranks over a private partition, so a
-        # test or benchmark varying k cannot re-partition the index every
-        # other caller of the corpus shares.
+        # A prebuilt k-shard index is private to the call, so a test or
+        # benchmark varying k cannot re-partition the index every other
+        # caller of the corpus shares.
         packed = synthetic_packed(50)
         concept = seeded_concept(packed.n_dims)
         shared = packed.shard_index()
-        pinned = ShardedRanker(n_shards=5).rank(concept, packed, top_k=5)
+        pinned = ShardedRanker().rank(
+            concept, packed, top_k=5, index=ShardIndex.build(packed, 5)
+        )
         assert packed.cached_shard_index is shared
         assert shared.n_shards == 1
         exhaustive = Ranker(auto_shard=False).rank(concept, packed, top_k=5)
         assert pinned.image_ids == exhaustive.image_ids
 
-    def test_policy_validates(self):
-        with pytest.raises(DatabaseError):
-            Ranker(min_shard_bags=0)
-        with pytest.raises(DatabaseError):
-            Ranker(workers=0)
-
-    def test_views_packed_on_the_spot_never_route(self):
+    def test_views_packed_on_the_spot_never_route(self, low_threshold):
         # Regression (review of PR 5): packed_view's throwaway creations
         # — id subsets and raw-iterable packs — die with the call, so
         # routing them would build a discarded shard index on every
@@ -369,7 +402,7 @@ class TestRankerRouting:
         # A low-threshold Ranker fed the raw list stays exhaustive — and
         # correct.
         concept = seeded_concept(4)
-        routed = Ranker(min_shard_bags=5).rank(concept, candidates, top_k=3)
+        routed = Ranker().rank(concept, candidates, top_k=3)
         exhaustive = Ranker(auto_shard=False).rank(concept, candidates, top_k=3)
         assert routed.image_ids == exhaustive.image_ids
 
@@ -380,8 +413,8 @@ class TestMinDistancesAt:
         concept = seeded_concept(packed.n_dims)
         full = packed.min_distances(concept)
         chosen = np.array([17, 3, 250, 3, 0, 299])
-        np.testing.assert_allclose(
-            packed.min_distances_at(concept, chosen), full[chosen], rtol=1e-9
+        np.testing.assert_array_equal(
+            packed.min_distances_at(concept, chosen), full[chosen]
         )
 
     def test_matches_after_squared_cache_exists(self):
@@ -390,7 +423,7 @@ class TestMinDistancesAt:
         before = packed.min_distances_at(concept, [5, 1])
         packed.min_distances(concept)  # builds the squared cache
         after = packed.min_distances_at(concept, [5, 1])
-        np.testing.assert_allclose(before, after, rtol=1e-12)
+        np.testing.assert_array_equal(before, after)
 
     def test_validates_inputs(self):
         packed = synthetic_packed(10)
@@ -428,22 +461,65 @@ class TestServiceKnobs:
         assert AUTO_SHARD_MIN_BAGS >= 1024
 
 
-class TestPoolCacheBound:
-    def test_shared_pool_cache_is_lru_bounded(self):
-        from repro.core import sharding
+class TestScanPool:
+    def test_one_machine_sized_pool_serves_every_query(self):
+        pool = _shared_pool()
+        assert _shared_pool() is pool
+        assert sharding._POOL is pool
+        assert pool._max_workers == min(MAX_AUTO_SHARDS, os.cpu_count() or 2)
 
-        with sharding._POOL_LOCK:
-            before = dict(sharding._SHARED_POOLS)
-            sharding._SHARED_POOLS.clear()
+    def test_concurrent_queries_share_one_lazily_built_pool(
+        self, monkeypatch
+    ):
+        # More querying threads than cores race to build the pool and then
+        # interleave their shard scans on it; every answer stays exact.
+        monkeypatch.setattr(sharding, "_POOL", None)
+        packed = synthetic_packed(400, n_dims=4)
+        index = ShardIndex.build(packed, n_shards=7)
+        concepts = [seeded_concept(4, seed) for seed in range(6)]
+        expected = [
+            Ranker(auto_shard=False).rank(c, packed, top_k=5) for c in concepts
+        ]
+        pools = set()
+
+        def query(i):
+            pools.add(id(sharding._shared_pool()))
+            c = i % len(concepts)
+            got = ShardedRanker(chunk_bags=8).rank(
+                concepts[c], packed, top_k=5, index=index
+            )
+            return got.image_ids == expected[c].image_ids and np.array_equal(
+                got.distances, expected[c].distances
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            for workers in range(2, 2 + sharding.MAX_POOL_CACHE + 3):
-                sharding._shared_pool(workers)
-            with sharding._POOL_LOCK:
-                assert len(sharding._SHARED_POOLS) == sharding.MAX_POOL_CACHE
-                # Oldest entries were evicted, newest kept.
-                assert 2 not in sharding._SHARED_POOLS
-                assert (1 + sharding.MAX_POOL_CACHE + 3) in sharding._SHARED_POOLS
+            with ThreadPoolExecutor(max_workers=8) as clients:
+                answers = list(clients.map(query, range(48), timeout=60))
         finally:
-            sharding._shutdown_shared_pools()
-            with sharding._POOL_LOCK:
-                sharding._SHARED_POOLS.update(before)
+            sys.setswitchinterval(interval)
+            if sharding._POOL is not None:
+                sharding._POOL.shutdown(wait=True)
+        assert all(answers)
+        assert len(pools) == 1
+
+    def test_threaded_scans_use_the_shared_pool(self, monkeypatch):
+        packed = synthetic_packed(60)
+        index = ShardIndex.build(packed, n_shards=3)
+        calls = []
+        real = sharding._shared_pool
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(sharding, "_shared_pool", counting)
+        concept = seeded_concept(packed.n_dims)
+        ShardedRanker().rank(concept, packed, top_k=4, index=index)
+        assert calls == [1]
+        # A single-shard scan runs inline.
+        ShardedRanker().rank(
+            concept, packed, top_k=4, index=ShardIndex.build(packed, 1)
+        )
+        assert calls == [1]
