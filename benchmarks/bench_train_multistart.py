@@ -19,7 +19,12 @@ incumbent best — the Section 4.3 thinning applied at run time.
 The last rows train the ``identical`` scheme on its default L-BFGS-B
 backend, which the lockstep engine drives through one reverse-communication
 state per restart.  They assert the same two properties: bit-identical
-per-start results and a batched speed-up of at least the same floor.
+per-start results and a batched speed-up of at least the same floor.  They
+also record the process CPU seconds per wall second of the batched L-BFGS-B
+fits and assert it is at most ``MAX_CPU_PER_WALL``: the fit is one thread
+of work, and scipy's bundled OpenBLAS, left at its default thread count,
+adds a busy-waiting worker that reads ~2.0 on a runner with two or more
+cores.
 """
 
 import os
@@ -34,6 +39,8 @@ from repro.eval.reporting import ascii_table
 
 #: Minimum accepted batched-over-sequential speed-up.
 MIN_SPEEDUP = float(os.environ.get("REPRO_TRAIN_BENCH_MIN_SPEEDUP", "3.0"))
+#: Most process CPU seconds per wall second the batched L-BFGS-B fits may use.
+MAX_CPU_PER_WALL = 1.5
 #: Feature dimensionality of the synthetic set (shrink for smoke runs).
 N_DIMS = int(os.environ.get("REPRO_TRAIN_BENCH_DIMS", "16"))
 #: Per-start solver iteration cap.
@@ -75,12 +82,19 @@ def _train(bag_set: BagSet, engine: str, margin: float | None = None, scheme="in
     return result, time.perf_counter() - started
 
 
+def _cpu_per_wall(run):
+    """``(run(), process CPU seconds per wall second spent in it)``."""
+    cpu, wall = time.process_time(), time.perf_counter()
+    result = run()
+    return result, (time.process_time() - cpu) / (time.perf_counter() - wall)
+
+
 def test_batched_engine_speedup(benchmark, report, bench_json):
     lbfgs = IdenticalWeightsScheme(max_iterations=MAX_ITERATIONS, backend="lbfgs")
 
     def run_all():
         bag_set = twenty_bag_set()
-        return {
+        runs = {
             "sequential": _train(bag_set, "sequential"),
             "batched": _train(bag_set, "batched"),
             "pruned": _train(bag_set, "batched", margin=1.0),
@@ -89,11 +103,14 @@ def test_batched_engine_speedup(benchmark, report, bench_json):
                 (_train(bag_set, "sequential", scheme=lbfgs) for _ in range(3)),
                 key=lambda run: run[1],
             ),
-            "lbfgs_batched": min(
+        }
+        runs["lbfgs_batched"], runs["lbfgs_cpu_per_wall"] = _cpu_per_wall(
+            lambda: min(
                 (_train(bag_set, "batched", scheme=lbfgs) for _ in range(3)),
                 key=lambda run: run[1],
-            ),
-        }
+            )
+        )
+        return runs
 
     runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
     sequential, sequential_s = runs["sequential"]
@@ -101,6 +118,7 @@ def test_batched_engine_speedup(benchmark, report, bench_json):
     pruned, pruned_s = runs["pruned"]
     lbfgs_sequential, lbfgs_sequential_s = runs["lbfgs_sequential"]
     lbfgs_batched, lbfgs_batched_s = runs["lbfgs_batched"]
+    lbfgs_cpu_per_wall = runs["lbfgs_cpu_per_wall"]
 
     # Batching must not change the mathematics: bit-identical results.
     for fast, slow in ((batched, sequential), (lbfgs_batched, lbfgs_sequential)):
@@ -120,6 +138,10 @@ def test_batched_engine_speedup(benchmark, report, bench_json):
             f"{name}: batched engine only {measured:.2f}x faster than "
             f"sequential (required {MIN_SPEEDUP:.1f}x)"
         )
+    assert lbfgs_cpu_per_wall <= MAX_CPU_PER_WALL, (
+        f"identical/L-BFGS batched fits used {lbfgs_cpu_per_wall:.2f} CPU seconds "
+        f"per wall second (allowed {MAX_CPU_PER_WALL:.1f}): a BLAS worker is spinning"
+    )
 
     bench_json("train", "multistart_engines", {
         "n_bags": N_POSITIVE + N_NEGATIVE,
@@ -135,6 +157,7 @@ def test_batched_engine_speedup(benchmark, report, bench_json):
         "lbfgs_sequential_seconds": lbfgs_sequential_s,
         "lbfgs_batched_seconds": lbfgs_batched_s,
         "speedup_lbfgs": lbfgs_speedup,
+        "lbfgs_batched_cpu_per_wall": lbfgs_cpu_per_wall,
         "bit_identical": True,
     })
 

@@ -379,11 +379,9 @@ def run_batched_scheme(
         if unconstrained is None:
             return None
 
-        def fun_identical(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            values, grad_t, _ = objective.value_and_grad(z, np.ones_like(z))
-            return values, grad_t
-
-        z, values, masks = unconstrained.minimize(fun_identical, t0, prune_margin)
+        z, values, masks = unconstrained.minimize(
+            objective.value_and_grad_unit, t0, prune_margin
+        )
         return BatchedOutcome(
             t=z,
             w=np.ones_like(z),

@@ -17,11 +17,19 @@ Multi-restart training evaluates this objective at many concepts per
 descent step, so the primary implementation here is *batched*:
 :class:`BatchedDiverseDensityObjective` takes ``R`` concept points ``T``
 (shape ``(R, d)``) and weights ``W`` at once and returns ``R`` values and
-gradients from one ``(R, n_instances)`` distance tensor per side, built
-with the same cached-squares expansion used by
+gradients.  It keeps the positive and negative instances in one stacked
+``(n_instances, d)`` matrix, so an evaluation builds one ``(R, n_instances)``
+distance tensor with the same cached-squares expansion used by
 :class:`~repro.core.retrieval.PackedCorpus`:
 
     d2[r, j] = (x_j * x_j) . W[r] - 2 x_j . (W[r] * T[r]) + (W[r] * T[r]) . T[r]
+
+and slices the positive and negative columns for the noisy-or sums.  The
+gradients then take one ``C . x`` contraction, plus one ``C . x^2`` for the
+weight gradient.  The identical-weights scheme evaluates through
+``value_and_grad_unit``: at ``W = 1`` the first term is a precomputed
+``||x_j||^2`` and there is no weight gradient, which leaves two einsums per
+evaluation instead of five, with the bits of ``value_and_grad(T, ones)``.
 
 :class:`DiverseDensityObjective` — the historical single-start interface —
 is a thin ``R = 1`` view over the batched objective, so the sequential and
@@ -103,20 +111,27 @@ class BatchedDiverseDensityObjective:
     def __init__(self, bag_set: BagSet) -> None:
         bag_set.validate_for_training()
         self._n_dims = bag_set.n_dims
-        self._pos_x, self._pos_bounds = bag_set.stacked(label=True)
-        self._neg_x, self._neg_bounds = bag_set.stacked(label=False)
+        pos_x, pos_bounds = bag_set.stacked(label=True)
+        neg_x, neg_bounds = bag_set.stacked(label=False)
+        # One instance matrix: positive rows first, then negative rows.  Every
+        # evaluation builds one distance tensor over it and slices the two
+        # sides' columns for the noisy-or sums.
+        self._x = np.concatenate([pos_x, neg_x])
+        self._n_pos = pos_x.shape[0]
         # Cached squares: the expansion evaluates x*x once per training run
         # instead of (x - t)^2 once per restart per step.
-        self._pos_sq = self._pos_x * self._pos_x
-        self._neg_sq = self._neg_x * self._neg_x
-        self._n_pos_bags = len(self._pos_bounds) - 1
-        self._n_neg_bags = len(self._neg_bounds) - 1
-        # Map every positive instance row to its bag index for fast segment
-        # products/sums via np.add.reduceat.
-        self._pos_starts = self._pos_bounds[:-1]
-        self._pos_bag_of = np.repeat(
-            np.arange(self._n_pos_bags), np.diff(self._pos_bounds)
-        )
+        self._x_sq = self._x * self._x
+        # ``||x_j||^2`` for the unit-weight path, reduced by the same einsum
+        # as ``w . x^2`` so that path has the bits of ``w = 1``.
+        self._sq_norms = np.einsum(
+            "rd,nd->rn", np.ones((1, self._n_dims)), self._x_sq
+        )[0]
+        self._n_pos_bags = len(pos_bounds) - 1
+        self._n_neg_bags = len(neg_bounds) - 1
+        self._pos_starts = pos_bounds[:-1]
+        self._neg_starts = neg_bounds[:-1]
+        # Map every positive instance column to its bag index.
+        self._pos_bag_of = np.repeat(np.arange(self._n_pos_bags), np.diff(pos_bounds))
 
     @property
     def n_dims(self) -> int:
@@ -134,14 +149,16 @@ class BatchedDiverseDensityObjective:
         return self._n_neg_bags
 
     def _check(
-        self, t: np.ndarray, w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, t: np.ndarray, w: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         t = np.atleast_2d(np.asarray(t, dtype=np.float64))
+        if t.shape[1] != self._n_dims:
+            raise TrainingError(f"expected {self._n_dims}-dim t, got {t.shape[1]}")
+        if w is None:
+            return t, None
         w = np.atleast_2d(np.asarray(w, dtype=np.float64))
-        if t.shape[1] != self._n_dims or w.shape[1] != self._n_dims:
-            raise TrainingError(
-                f"expected {self._n_dims}-dim t and w, got {t.shape[1]} and {w.shape[1]}"
-            )
+        if w.shape[1] != self._n_dims:
+            raise TrainingError(f"expected {self._n_dims}-dim w, got {w.shape[1]}")
         if t.shape[0] != w.shape[0]:
             raise TrainingError(
                 f"batch size mismatch: {t.shape[0]} concepts, {w.shape[0]} weight rows"
@@ -150,27 +167,41 @@ class BatchedDiverseDensityObjective:
             raise TrainingError("weights must be non-negative")
         return t, w
 
-    @staticmethod
-    def _instance_probabilities(
-        x: np.ndarray, x_squared: np.ndarray, t: np.ndarray, w: np.ndarray
-    ) -> np.ndarray:
-        """``(R, n)`` clamped probabilities ``p[r, j] = exp(-d2[r, j])``."""
-        p = np.exp(-batched_weighted_distances(x, x_squared, t, w))
+    def _probabilities(self, t: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+        """``(R, n)`` clamped ``p[r, j] = exp(-d2[r, j])``; ``w=None`` is unit weights."""
+        if w is None:
+            d2 = self._sq_norms - 2.0 * np.einsum("rd,nd->rn", t, self._x)
+            d2 += np.einsum("rd,rd->r", t, t)[:, None]
+        else:
+            d2 = batched_weighted_distances(self._x, self._x_sq, t, w)
+        d2 *= -1.0
+        p = np.exp(d2, out=d2)
         np.clip(p, 0.0, 1.0 - _P_EPS, out=p)
         return p
 
     def value(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``(R,)`` NLL values at the batch.  Lower is better."""
-        values, _, _ = self._evaluate(t, w, with_grad=False)
+        values, _, _ = self._evaluate(*self._check(t, w), with_grad=False)
         return values
 
     def value_and_grad(
         self, t: np.ndarray, w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """NLL and gradients ``(values, grad_t, grad_w)``, each batched."""
-        values, grad_t, grad_w = self._evaluate(t, w, with_grad=True)
+        values, grad_t, grad_w = self._evaluate(*self._check(t, w), with_grad=True)
         assert grad_t is not None and grad_w is not None
         return values, grad_t, grad_w
+
+    def value_and_grad_unit(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """NLL and ``grad_t`` at unit weights (the identical scheme).
+
+        Bitwise equal to ``value_and_grad(t, ones)[:2]``, but it skips the
+        ``w . x^2`` contraction (precomputed ``||x||^2`` instead) and the
+        ``w``-gradient.
+        """
+        values, grad_t, _ = self._evaluate(*self._check(t, None), with_grad=True)
+        assert grad_t is not None
+        return values, grad_t
 
     def value_and_grad_squared(
         self, t: np.ndarray, s: np.ndarray, alpha: float = 1.0
@@ -190,8 +221,7 @@ class BatchedDiverseDensityObjective:
         if alpha <= 0:
             raise TrainingError(f"alpha must be positive, got {alpha}")
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        values, grad_t, grad_w = self._evaluate(t, s * s, with_grad=True)
-        assert grad_t is not None and grad_w is not None
+        values, grad_t, grad_w = self.value_and_grad(t, s * s)
         grad_s = grad_w * (2.0 * s) / alpha
         return values, grad_t, grad_s
 
@@ -205,81 +235,48 @@ class BatchedDiverseDensityObjective:
         ``(R, n_positive_bags)`` and ``(R, n_negative_bags)``.
         """
         t, w = self._check(t, w)
-        batch = t.shape[0]
-        pos = np.ones((batch, self._n_pos_bags))
-        neg = np.ones((batch, self._n_neg_bags))
-        if self._pos_x.shape[0]:
-            p = self._instance_probabilities(self._pos_x, self._pos_sq, t, w)
-            log_q = np.add.reduceat(np.log1p(-p), self._pos_starts, axis=1)
-            pos = -np.expm1(log_q)
-        if self._neg_x.shape[0]:
-            p = self._instance_probabilities(self._neg_x, self._neg_sq, t, w)
-            log_q = np.add.reduceat(np.log1p(-p), self._neg_bounds[:-1], axis=1)
-            neg = np.exp(log_q)
+        log1m = np.log1p(-self._probabilities(t, w))
+        pos = -np.expm1(np.add.reduceat(log1m[:, : self._n_pos], self._pos_starts, axis=1))
+        neg = np.ones((t.shape[0], self._n_neg_bags))
+        if self._n_neg_bags:
+            neg = np.exp(np.add.reduceat(log1m[:, self._n_pos :], self._neg_starts, axis=1))
         return pos, neg
 
-    def _accumulate_gradients(
-        self,
-        coeff: np.ndarray,
-        x: np.ndarray,
-        x_squared: np.ndarray,
-        t: np.ndarray,
-        w: np.ndarray,
-        grad_t: np.ndarray,
-        grad_w: np.ndarray,
-    ) -> None:
-        """Add one side's per-instance coefficient contributions in place.
-
-        Uses the expanded forms
-
-            sum_j c_j (x_j - t)^2 = C.x² - 2 t (C.x) + t² (C.1)
-            sum_j c_j (x_j - t)   = C.x  - t (C.1)
-
-        so the contractions stay restart-slice stable.
-        """
-        cx = np.einsum("rn,nd->rd", coeff, x)
-        cx2 = np.einsum("rn,nd->rd", coeff, x_squared)
-        csum = coeff.sum(axis=1)[:, None]
-        grad_w += cx2 - 2.0 * t * cx + t * t * csum
-        grad_t += -2.0 * w * (cx - t * csum)
-
     def _evaluate(
-        self, t: np.ndarray, w: np.ndarray, with_grad: bool
+        self, t: np.ndarray, w: np.ndarray | None, with_grad: bool
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        t, w = self._check(t, w)
-        batch = t.shape[0]
-        values = np.zeros(batch)
-        grad_t = np.zeros((batch, self._n_dims)) if with_grad else None
-        grad_w = np.zeros((batch, self._n_dims)) if with_grad else None
+        """``(values, grad_t, grad_w)``; the gradients are ``None`` without
+        ``with_grad``, and ``grad_w`` is ``None`` at unit weights (``w=None``)."""
+        p = self._probabilities(t, w)
+        log1m = np.log1p(-p)
+        n_pos = self._n_pos
 
-        # ---- positive bags: -sum_i log(1 - prod_j (1 - p_j)) -------------
-        if self._pos_x.shape[0]:
-            p = self._instance_probabilities(self._pos_x, self._pos_sq, t, w)
-            log1m = np.log1p(-p)
-            # log prod(1-p) per bag per restart
-            log_q = np.add.reduceat(log1m, self._pos_starts, axis=1)
-            bag_p = np.maximum(-np.expm1(log_q), _LOG_FLOOR)  # P_i = 1 - Q_i
-            values -= np.log(bag_p).sum(axis=1)
-            if with_grad:
-                assert grad_t is not None and grad_w is not None
-                q_over_p = np.exp(log_q) / bag_p  # Q_i / P_i per bag
-                ratio = p / (1.0 - p)  # per instance
-                coeff = q_over_p[:, self._pos_bag_of] * ratio
-                self._accumulate_gradients(
-                    coeff, self._pos_x, self._pos_sq, t, w, grad_t, grad_w
-                )
+        # Positive bags: -sum_i log(1 - prod_j (1 - p_j)).
+        log_q = np.add.reduceat(log1m[:, :n_pos], self._pos_starts, axis=1)
+        bag_p = np.maximum(-np.expm1(log_q), _LOG_FLOOR)  # P_i = 1 - Q_i
+        values = -np.log(bag_p).sum(axis=1)
+        # Negative bags: -sum_ij log(1 - p_j).
+        if p.shape[1] > n_pos:
+            values -= log1m[:, n_pos:].sum(axis=1)
+        if not with_grad:
+            return values, None, None
 
-        # ---- negative bags: -sum_ij log(1 - p_j) --------------------------
-        if self._neg_x.shape[0]:
-            p = self._instance_probabilities(self._neg_x, self._neg_sq, t, w)
-            values -= np.log1p(-p).sum(axis=1)
-            if with_grad:
-                assert grad_t is not None and grad_w is not None
-                coeff = -(p / (1.0 - p))
-                self._accumulate_gradients(
-                    coeff, self._neg_x, self._neg_sq, t, w, grad_t, grad_w
-                )
-
+        # Per-instance coefficients c_j, then the expanded forms
+        #   sum_j c_j (x_j - t)^2 = C.x² - 2 t (C.x) + t² (C.1)
+        #   sum_j c_j (x_j - t)   = C.x  - t (C.1)
+        # so the contractions stay restart-slice stable.
+        coeff = p / (1.0 - p)
+        coeff[:, :n_pos] *= (np.exp(log_q) / bag_p)[:, self._pos_bag_of]  # Q_i / P_i
+        # ``*= -1.0``: numpy 2.4's ``np.negative(v, out=v)`` misreads a
+        # one-column strided view as contiguous.
+        coeff[:, n_pos:] *= -1.0
+        cx = np.einsum("rn,nd->rd", coeff, self._x)
+        csum = coeff.sum(axis=1)[:, None]
+        if w is None:
+            return values, -2.0 * (cx - t * csum), None
+        cx2 = np.einsum("rn,nd->rd", coeff, self._x_sq)
+        grad_w = cx2 - 2.0 * t * cx + t * t * csum
+        grad_t = -2.0 * w * (cx - t * csum)
         return values, grad_t, grad_w
 
 
@@ -333,6 +330,11 @@ class DiverseDensityObjective:
             self._as_row(t), self._as_row(w)
         )
         return float(values[0]), grad_t[0], grad_w[0]
+
+    def value_and_grad_unit(self, t: np.ndarray) -> tuple[float, np.ndarray]:
+        """NLL and ``grad_t`` at ``(t, ones)``; see the batched method."""
+        values, grad_t = self._batched.value_and_grad_unit(self._as_row(t))
+        return float(values[0]), grad_t[0]
 
     def value_and_grad_squared(
         self, t: np.ndarray, s: np.ndarray, alpha: float = 1.0

@@ -21,15 +21,28 @@ runs any number of restarts at once: the batched trainer
 :class:`LBFGSOptimizer` is the same solver on one row, so there is a single
 L-BFGS-B implementation and both training engines follow identical
 trajectories.
+
+scipy's solvers call BLAS (``setulb`` calls ``dtrsm``) through scipy's own
+bundled OpenBLAS, a separate library from numpy's.  That build runs even a
+20x20 ``dtrsm`` on several threads whose workers then busy-wait, so an
+unpinned fit burns two cores for one core of work.  Every scipy solve in
+this package therefore runs under :func:`_one_blas_thread`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import mmap
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
+import scipy
 from scipy.optimize import _lbfgsb
 
 from repro.errors import OptimizationError
@@ -53,14 +66,88 @@ _FACTR = LBFGSB_FTOL / np.finfo(float).eps
 #: temporaries and ~29 KiB of L-BFGS-B workspace per restart (d = 100), and
 #: a fit's peak stays resident in the allocator arena of every serving
 #: thread that ran one.  On the interactive serving benchmark (2 vCPUs,
-#: 3 runs each) widths 10 / 14 / 20 served 6.9 / 7.5 / 7.9 ops/s at
-#: 121 / 122 / 126 MiB peak RSS, against 117 MiB for one restart at a time.
+#: 3 runs each, stacked objective, scipy's BLAS at one thread) widths
+#: 10 / 14 / 20 served 13.6 / 15.1 / 17.2 ops/s at 129.6 / 130.8 /
+#: 132.6 MiB peak RSS.  Peak RSS there grows with throughput, and 20 puts
+#: it 8.6% over the 122.1 MiB of the unstacked, unpinned objective at
+#: width 14, close to the benchmark's 10% bound; 14 keeps the margin.
 LBFGSB_LOCKSTEP_WIDTH = 14
 
 # ``setulb`` task codes (``task[0]``) and the stop reasons the solver sets
 # itself (``task[1]``), as in ``scipy.optimize._lbfgsb_py``.
 _START, _NEW_X, _FG, _CONVERGENCE, _STOP = 0, 1, 3, 4, 5
 _MAXFUN_REACHED, _MAXITER_REACHED = 502, 504
+
+
+#: ``(setter, getter)`` symbol pairs of the thread count, newest build first.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _find_scipy_openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """``(set_num_threads, get_num_threads)`` of scipy's bundled OpenBLAS.
+
+    ``None`` when scipy links no bundled OpenBLAS (a system BLAS, another
+    vendor) or it exports none of the known symbols.
+    """
+    package = os.path.dirname(scipy.__file__)
+    paths = sorted(
+        glob.glob(os.path.join(os.path.dirname(package), "scipy.libs", "*openblas*"))
+        + glob.glob(os.path.join(package, ".dylibs", "*openblas*"))
+    )
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+            set_threads = getattr(library, setter, None)
+            get_threads = getattr(library, getter, None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+_PIN_LOCK = threading.Lock()
+#: Fits currently inside :func:`_one_blas_thread`, and the thread count the
+#: first of them found.
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold scipy's bundled OpenBLAS at one thread while a solver runs.
+
+    OpenBLAS's thread count is process-global (its per-thread override is
+    too, in pthreads builds), so concurrent fits share one pin: the first
+    to enter saves the count and sets 1, the last to leave restores it.
+    numpy's BLAS is untouched; without a bundled OpenBLAS this does nothing.
+    """
+    global _pin_depth, _pin_saved
+    threads = _find_scipy_openblas()
+    if threads is None:
+        yield
+        return
+    set_threads, get_threads = threads
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_saved = get_threads()
+            set_threads(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_threads(_pin_saved)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -353,40 +440,41 @@ class LockstepLBFGSB:
         free = list(range(width - 1, -1, -1))
         waiting: list[int] = []
         next_row = 0
-        while True:
-            while free and next_row < n_restarts:
-                slot = free.pop()
-                slots.assign(slot, next_row, z[next_row])
-                waiting.append(slot)
-                next_row += 1
-            if not waiting:
-                break
-            pending = np.asarray(waiting)
-            rows = slots.row[pending]
-            points = z[rows]
-            # Like scipy's ScalarFunction, evaluate only points that moved;
-            # a new restart's start is evaluated before its routine runs.
-            fresh = (points != slots.last_x[pending]).any(axis=1)
-            if fresh.any():
-                moved = pending[fresh]
-                batch_values, batch_grads = fun(points[fresh])
-                starting = slots.nfev[moved] == 0
-                if starting.any():
-                    check_start_values(batch_values[starting], rows[fresh][starting])
-                    values[rows[fresh][starting]] = batch_values[starting]
-                slots.last_x[moved] = points[fresh]
-                slots.last_f[moved] = batch_values
-                slots.last_g[moved] = batch_grads
-                slots.nfev[moved] += 1
-            # Answer the routines' requests; a new routine starts from zeros.
-            asking = pending[slots.task[pending, 0] == _FG]
-            slots.g[asking] = slots.last_g[asking]
-            waiting = []
-            for slot in pending.tolist():
-                if self._advance(slots, slot, values, masks, prune_margin):
+        with _one_blas_thread():
+            while True:
+                while free and next_row < n_restarts:
+                    slot = free.pop()
+                    slots.assign(slot, next_row, z[next_row])
                     waiting.append(slot)
-                else:
-                    free.append(slot)
+                    next_row += 1
+                if not waiting:
+                    break
+                pending = np.asarray(waiting)
+                rows = slots.row[pending]
+                points = z[rows]
+                # Like scipy's ScalarFunction, evaluate only points that moved;
+                # a new restart's start is evaluated before its routine runs.
+                fresh = (points != slots.last_x[pending]).any(axis=1)
+                if fresh.any():
+                    moved = pending[fresh]
+                    batch_values, batch_grads = fun(points[fresh])
+                    starting = slots.nfev[moved] == 0
+                    if starting.any():
+                        check_start_values(batch_values[starting], rows[fresh][starting])
+                        values[rows[fresh][starting]] = batch_values[starting]
+                    slots.last_x[moved] = points[fresh]
+                    slots.last_f[moved] = batch_values
+                    slots.last_g[moved] = batch_grads
+                    slots.nfev[moved] += 1
+                # Answer the routines' requests; a new routine starts from zeros.
+                asking = pending[slots.task[pending, 0] == _FG]
+                slots.g[asking] = slots.last_g[asking]
+                waiting = []
+                for slot in pending.tolist():
+                    if self._advance(slots, slot, values, masks, prune_margin):
+                        waiting.append(slot)
+                    else:
+                        free.append(slot)
         if not np.all(np.isfinite(z)):
             raise OptimizationError("L-BFGS-B returned a non-finite point")
         return z, values, masks

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy import optimize as scipy_optimize
 
-from repro.core.optimizer import row_dots
+from repro.core.optimizer import _one_blas_thread, row_dots
 from repro.errors import OptimizationError
 
 #: ``value_and_grad`` over the stacked vector ``z = [t, w]``.
@@ -228,21 +228,22 @@ class SLSQPBackend:
             return value, np.concatenate([grad_t, grad_w])
 
         sum_jacobian = np.concatenate([np.zeros(n_t), np.ones(n_w)])
-        result = scipy_optimize.minimize(
-            stacked,
-            np.concatenate([t0, w0]),
-            jac=True,
-            method="SLSQP",
-            bounds=[(None, None)] * n_t + [(0.0, 1.0)] * n_w,
-            constraints=[
-                {
-                    "type": "ineq",
-                    "fun": lambda z: float(z[n_t:].sum() - target),
-                    "jac": lambda z: sum_jacobian,
-                }
-            ],
-            options={"maxiter": self._max_iterations, "ftol": 1e-9},
-        )
+        with _one_blas_thread():
+            result = scipy_optimize.minimize(
+                stacked,
+                np.concatenate([t0, w0]),
+                jac=True,
+                method="SLSQP",
+                bounds=[(None, None)] * n_t + [(0.0, 1.0)] * n_w,
+                constraints=[
+                    {
+                        "type": "ineq",
+                        "fun": lambda z: float(z[n_t:].sum() - target),
+                        "jac": lambda z: sum_jacobian,
+                    }
+                ],
+                options={"maxiter": self._max_iterations, "ftol": 1e-9},
+            )
         t = np.asarray(result.x[:n_t], dtype=np.float64)
         w = project_weights(np.asarray(result.x[n_t:], dtype=np.float64), self._beta)
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):

@@ -193,16 +193,12 @@ class IdenticalWeightsScheme(WeightScheme):
         t0: np.ndarray,
         w0: np.ndarray | None = None,
     ) -> SchemeResult:
-        ones = np.ones(objective.n_dims)
-
-        def fun(t: np.ndarray) -> tuple[float, np.ndarray]:
-            value, grad_t, _ = objective.value_and_grad(t, ones)
-            return value, grad_t
-
-        outcome = self._minimizer.minimize(fun, np.asarray(t0, dtype=np.float64).reshape(-1))
+        outcome = self._minimizer.minimize(
+            objective.value_and_grad_unit, np.asarray(t0, dtype=np.float64).reshape(-1)
+        )
         return SchemeResult(
             t=outcome.x,
-            w=ones,
+            w=np.ones(objective.n_dims),
             value=outcome.value,
             n_iterations=outcome.n_iterations,
             converged=outcome.converged,

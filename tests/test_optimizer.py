@@ -1,5 +1,8 @@
 """Unit tests for the unconstrained minimisers."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import optimize as scipy_optimize
@@ -11,6 +14,7 @@ from repro.core.optimizer import (
     LockstepLBFGSB,
     make_minimizer,
 )
+from repro.core.projection import SLSQPBackend
 from repro.errors import OptimizationError
 
 
@@ -209,6 +213,113 @@ class TestLBFGS:
         assert masks.pruned.tolist() == [False, True, False, True]
         assert not masks.converged[masks.pruned].any()
         assert values.argmin() in (0, 2)
+
+
+@pytest.fixture
+def scipy_blas():
+    """scipy's bundled OpenBLAS thread-count getter, at 2 threads for the test.
+
+    Two threads make the pin observable on a one-core runner too; the count
+    found before the test is restored after it.
+    """
+    found = optimizer_module._find_scipy_openblas()
+    if found is None:
+        pytest.skip("scipy links no bundled OpenBLAS")
+    set_threads, get_threads = found
+    before = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(before)
+
+
+def spying_quadratic(get_threads, seen: list, barrier=None):
+    """Batched ``0.5 |z|^2`` that records scipy's BLAS thread count per call."""
+
+    def batched(rows):
+        if barrier is not None and not seen:
+            barrier.wait(timeout=30)  # every fit is inside its solver
+        seen.append(get_threads())
+        return 0.5 * (rows * rows).sum(axis=1), rows.copy()
+
+    return batched
+
+
+class TestScipyBlasPin:
+    def test_one_thread_inside_fit_and_restored_after(self, scipy_blas):
+        get_threads = scipy_blas
+        saved = get_threads()
+        seen: list[int] = []
+        z0 = np.arange(12, dtype=np.float64).reshape(3, 4)
+        LockstepLBFGSB().minimize(spying_quadratic(get_threads, seen), z0)
+        assert seen and set(seen) == {1}
+        assert get_threads() == saved
+
+    def test_slsqp_runs_pinned(self, scipy_blas):
+        get_threads = scipy_blas
+        saved = get_threads()
+        seen: list[int] = []
+
+        def fun(t, w):
+            seen.append(get_threads())
+            return float(t @ t + w @ w), 2.0 * t, 2.0 * w
+
+        SLSQPBackend(beta=0.5, max_iterations=20).minimize(fun, np.ones(3), np.ones(3))
+        # Every call scipy made; the backend's own final evaluation is outside.
+        assert len(seen) > 1 and set(seen[:-1]) == {1}
+        assert get_threads() == saved
+
+    def test_concurrent_fits_restore_saved_count(self, scipy_blas):
+        # More fitting threads than cores, all inside a solver at once, with
+        # frequent thread switches: a lost update of the shared pin would
+        # leave a fit unpinned or the count unrestored.
+        get_threads = scipy_blas
+        saved = get_threads()
+        n_fits = 4
+        barrier = threading.Barrier(n_fits)
+        seen: list[list[int]] = [[] for _ in range(n_fits)]
+        finished: list[int] = []
+
+        def fit(index):
+            z0 = np.full((2, 3), float(index + 1))
+            LockstepLBFGSB().minimize(spying_quadratic(get_threads, seen[index], barrier), z0)
+            finished.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fit, args=(i,)) for i in range(n_fits)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(n_fits))
+        assert all(calls and set(calls) == {1} for calls in seen)
+        assert get_threads() == saved
+
+    def test_fit_without_openblas_is_bitwise_the_same(self, scipy_blas, monkeypatch):
+        get_threads = scipy_blas
+        rng = np.random.default_rng(5)
+        z0 = rng.normal(0.0, 1.5, size=(9, 2))
+
+        def batched(rows):
+            pairs = [rosenbrock(row) for row in rows]
+            return np.array([v for v, _ in pairs]), np.stack([g for _, g in pairs])
+
+        pinned = LockstepLBFGSB(max_iterations=60).minimize(batched, z0)
+        monkeypatch.setattr(optimizer_module, "_find_scipy_openblas", lambda: None)
+        seen: list[int] = []
+        LockstepLBFGSB().minimize(spying_quadratic(get_threads, seen), z0)
+        assert set(seen) == {get_threads()} != {1}  # the helper did nothing
+        unpinned = LockstepLBFGSB(max_iterations=60).minimize(batched, z0)
+        assert np.array_equal(pinned[0], unpinned[0])
+        assert np.array_equal(pinned[1], unpinned[1])
+        assert np.array_equal(pinned[2].n_iterations, unpinned[2].n_iterations)
+        assert np.array_equal(pinned[2].converged, unpinned[2].converged)
 
 
 class TestFactory:
