@@ -1,14 +1,15 @@
-"""Training speed-ups: start subsets, the batched engine, the concept cache.
+"""Training speed-ups: start subsets, lockstep restarts, the concept cache.
 
 Part 1 — the paper's own speed-up (Section 4.3, Figure 4-22 workflow):
 start minimisation from a subset of the positive bags and watch performance
 hold while training time drops.
 
-Part 2 — the PR 3 engine stack on top of it: the same feedback experiment
-trained sequentially (one solver per restart), with the batched lockstep
-engine (one tensor pass per descent step, bit-identical results), with
-dynamic restart pruning, and finally re-run against a shared trained-concept
-cache (identical rounds skip training entirely).
+Part 2 — the trainer on top of it: the same feedback experiment trained
+through a per-start loop (the inequality solver behind a custom scheme, which
+the trainer runs on one start at a time), with every restart in lockstep (one
+tensor pass per descent step, bit-identical results), with dynamic restart
+pruning, and finally re-run against a shared trained-concept cache
+(identical rounds skip training entirely).
 
     python examples/training_speedup.py
 """
@@ -18,6 +19,7 @@ import time
 from repro import ConceptCache, ExperimentConfig, RetrievalExperiment, build_scene_database
 from repro.core.diverse_density import DiverseDensityTrainer, TrainerConfig
 from repro.core.feedback import FeedbackLoop, select_examples
+from repro.core.schemes import InequalityScheme, WeightScheme
 from repro.eval.reporting import ascii_table
 
 
@@ -67,8 +69,26 @@ def subset_sweep(database) -> None:
     )
 
 
-def engine_and_cache_comparison(database) -> None:
-    """Sequential vs batched vs pruned vs cached-feedback timings."""
+class PerStartScheme(WeightScheme):
+    """A custom scheme wrapping a built-in one.
+
+    The trainer has no lockstep solver for a custom scheme, so it calls
+    :meth:`optimize` on one start at a time: a plain per-start loop over the
+    very solver the built-in scheme runs in lockstep.
+    """
+
+    name = "per-start"
+
+    def __init__(self, inner: WeightScheme) -> None:
+        super().__init__(inner.max_iterations, inner.gradient_tolerance)
+        self._inner = inner
+
+    def optimize(self, objective, t0, w0=None):
+        return self._inner.optimize(objective, t0, w0)
+
+
+def lockstep_and_cache_comparison(database) -> None:
+    """Per-start loop vs lockstep vs pruned vs cached-feedback timings."""
     potential = [
         image_id
         for image_id in database.image_ids
@@ -76,16 +96,11 @@ def engine_and_cache_comparison(database) -> None:
     ]
     test = [i for i in database.image_ids if i not in set(potential)]
     selection = select_examples(database, potential, "waterfall", 5, 5, seed=4)
+    inequality = InequalityScheme(beta=0.5, max_iterations=50)
 
-    def loop_for(engine: str, margin: float | None, cache: ConceptCache | None):
+    def loop_for(scheme: WeightScheme, margin: float | None, cache: ConceptCache | None):
         trainer = DiverseDensityTrainer(
-            TrainerConfig(
-                scheme="inequality",
-                beta=0.5,
-                max_iterations=50,
-                engine=engine,
-                restart_prune_margin=margin,
-            )
+            TrainerConfig(scheme=scheme, restart_prune_margin=margin)
         )
         return FeedbackLoop(
             corpus=database,
@@ -102,16 +117,16 @@ def engine_and_cache_comparison(database) -> None:
     rows = []
     cache = ConceptCache()
     variants = [
-        ("sequential", "sequential", None, None),
-        ("batched", "batched", None, None),
-        ("batched + prune(1.0)", "batched", 1.0, None),
-        ("batched + cache (1st run)", "batched", None, cache),
-        ("batched + cache (repeat)", "batched", None, cache),
+        ("per-start loop", PerStartScheme(inequality), None, None),
+        ("lockstep", inequality, None, None),
+        ("lockstep + prune(1.0)", inequality, 1.0, None),
+        ("lockstep + cache (1st run)", inequality, None, cache),
+        ("lockstep + cache (repeat)", inequality, None, cache),
     ]
-    for label, engine, margin, shared_cache in variants:
+    for label, scheme, margin, shared_cache in variants:
         print(f"running {label} ...")
         started = time.perf_counter()
-        outcome = loop_for(engine, margin, shared_cache).run(selection)
+        outcome = loop_for(scheme, margin, shared_cache).run(selection)
         elapsed = time.perf_counter() - started
         rows.append(
             [
@@ -127,12 +142,13 @@ def engine_and_cache_comparison(database) -> None:
         ascii_table(
             ["configuration", "feedback wall s", "final NLL", "pruned"],
             rows,
-            title="engine + concept-cache comparison (2 feedback rounds)",
+            title="lockstep + concept-cache comparison (2 feedback rounds)",
         )
     )
     print(
         f"\nconcept cache: {stats.hits} hits / {stats.misses} misses — the "
-        "repeated run retrained nothing; batched equals sequential bit for bit."
+        "repeated run retrained nothing; lockstep equals the per-start loop "
+        "bit for bit."
     )
 
 
@@ -142,7 +158,7 @@ def main() -> None:
     database.precompute_features()
     subset_sweep(database)
     print()
-    engine_and_cache_comparison(database)
+    lockstep_and_cache_comparison(database)
 
 
 if __name__ == "__main__":

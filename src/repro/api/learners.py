@@ -291,7 +291,6 @@ class DiverseDensityLearner(ConceptLearner):
         start_bag_subset: int | None = None,
         start_instance_stride: int = 1,
         seed: int = 0,
-        engine: str = "batched",
         restart_prune_margin: float | None = None,
     ) -> None:
         super().__init__(
@@ -304,7 +303,6 @@ class DiverseDensityLearner(ConceptLearner):
                     start_bag_subset=start_bag_subset,
                     start_instance_stride=start_instance_stride,
                     seed=seed,
-                    engine=engine,
                     restart_prune_margin=restart_prune_margin,
                 )
             )
@@ -327,7 +325,6 @@ class EMDDLearner(ConceptLearner):
         start_bag_subset: int | None = None,
         start_instance_stride: int = 1,
         seed: int = 0,
-        engine: str = "batched",
         restart_prune_margin: float | None = None,
     ) -> None:
         super().__init__(
@@ -342,7 +339,6 @@ class EMDDLearner(ConceptLearner):
                     start_bag_subset=start_bag_subset,
                     start_instance_stride=start_instance_stride,
                     seed=seed,
-                    engine=engine,
                     restart_prune_margin=restart_prune_margin,
                 )
             )
@@ -368,7 +364,6 @@ class MaronRatanLearner(ConceptLearner):
         start_bag_subset: int | None = None,
         start_instance_stride: int = 1,
         seed: int = 0,
-        engine: str = "batched",
         restart_prune_margin: float | None = None,
     ) -> None:
         super().__init__(
@@ -381,7 +376,6 @@ class MaronRatanLearner(ConceptLearner):
                     start_bag_subset=start_bag_subset,
                     start_instance_stride=start_instance_stride,
                     seed=seed,
-                    engine=engine,
                     restart_prune_margin=restart_prune_margin,
                 )
             )
@@ -511,7 +505,6 @@ def shape_learner_params(
     start_bag_subset: int | None = None,
     start_instance_stride: int = 1,
     seed: int = 0,
-    engine: str = "batched",
     restart_prune_margin: float | None = None,
 ) -> dict[str, object]:
     """Map the historical DD-style knobs onto a built-in learner's parameters.
@@ -532,7 +525,6 @@ def shape_learner_params(
             "start_bag_subset": start_bag_subset,
             "start_instance_stride": start_instance_stride,
             "seed": seed,
-            "engine": engine,
             "restart_prune_margin": restart_prune_margin,
         }
     if learner == "random":
@@ -548,7 +540,6 @@ def shape_learner_params(
         "start_bag_subset": start_bag_subset,
         "start_instance_stride": start_instance_stride,
         "seed": seed,
-        "engine": engine,
         "restart_prune_margin": restart_prune_margin,
     }
 

@@ -77,21 +77,15 @@ from repro.serve.snapshot import load_corpus_service, load_service
 from repro.version import __version__
 
 _SCHEMES = ["original", "identical", "alpha_hack", "inequality"]
-_ENGINES = ["batched", "sequential"]
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every command that trains a concept."""
-    parser.add_argument("--train-engine", dest="train_engine", default="batched",
-                        choices=_ENGINES,
-                        help="multi-start execution engine: 'batched' steps "
-                        "all restarts in lockstep (one tensor pass per "
-                        "step), 'sequential' runs one solver per restart")
     parser.add_argument("--restart-prune-margin", dest="restart_prune_margin",
                         type=float, default=None, metavar="MARGIN",
-                        help="batched engine only: freeze restarts whose "
-                        "NLL trails the incumbent best by more than MARGIN "
-                        "(dynamic Section 4.3 thinning; default off)")
+                        help="freeze restarts whose NLL trails the incumbent "
+                        "best by more than MARGIN (dynamic Section 4.3 "
+                        "thinning; default off)")
     parser.add_argument("--verbose", action="store_true",
                         help="print training diagnostics (wall time, pruned "
                         "restart counts, concept-cache stats)")
@@ -350,7 +344,6 @@ def _learner_params(args: argparse.Namespace) -> dict[str, object]:
         beta=args.beta,
         start_bag_subset=2,
         seed=args.seed,
-        engine=args.train_engine,
         restart_prune_margin=args.restart_prune_margin,
     )
 
@@ -424,10 +417,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     if args.verbose and result.training is not None:
         training = result.training
-        engine = training.concept.metadata.get("engine", args.train_engine)
         print(
-            f"training: engine {engine}, "
-            f"wall time {training.wall_time_s:.3f}s, "
+            f"training: wall time {training.wall_time_s:.3f}s, "
             f"{training.n_starts} starts ({training.n_starts_pruned} pruned)"
         )
         print(_cache_line(service))
@@ -475,14 +466,7 @@ def _cmd_batch_query(args: argparse.Namespace) -> int:
     if args.verbose:
         trainings = [r.training for r in results if r.training is not None]
         pruned = sum(training.n_starts_pruned for training in trainings)
-        engines = {
-            training.concept.metadata.get("engine", args.train_engine)
-            for training in trainings
-        } or {args.train_engine}
-        print(
-            f"training engine {'/'.join(sorted(engines))}, "
-            f"{pruned} restarts pruned"
-        )
+        print(f"training: {pruned} restarts pruned")
         print(_cache_line(service))
     return 0
 
@@ -502,7 +486,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         start_instance_stride=2,
         max_iterations=60,
         seed=args.seed,
-        engine=args.train_engine,
         restart_prune_margin=args.restart_prune_margin,
     )
     result = RetrievalExperiment(database, config).run()
@@ -526,10 +509,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     if args.verbose:
         final = result.outcome.final_training
-        engine = final.concept.metadata.get("engine", args.train_engine)
         print(
-            f"final round: engine {engine}, "
-            f"wall time {final.wall_time_s:.3f}s, "
+            f"final round: wall time {final.wall_time_s:.3f}s, "
             f"{final.n_starts} starts ({final.n_starts_pruned} pruned)"
         )
     return 0

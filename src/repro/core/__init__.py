@@ -3,16 +3,17 @@
 * :mod:`repro.core.objective` — noisy-or negative log Diverse Density and its
   analytic gradients (Section 2.2).
 * :mod:`repro.core.optimizer` — unconstrained minimisers (bespoke Armijo
-  gradient descent and an L-BFGS-B backend whose one solver steps any
-  number of restarts in lockstep).
+  gradient descent and L-BFGS-B), each one solver that steps any number of
+  restarts in lockstep, with a one-start view.
 * :mod:`repro.core.projection` — exact projection onto the weight constraint
-  set and projected-gradient / SLSQP constrained minimisers (Section 3.6.3).
+  set and projected-gradient (lockstep, with a one-start view) / SLSQP
+  constrained minimisers (Section 3.6.3).
 * :mod:`repro.core.schemes` — the four weight-control schemes of Section 3.6.
-* :mod:`repro.core.engine` — the lockstep batched multi-start engine with
-  per-restart convergence masks and dynamic restart pruning.
+* :mod:`repro.core.engine` — runs a restart population under a scheme on
+  its lockstep solver, with per-restart convergence masks and dynamic
+  restart pruning.
 * :mod:`repro.core.diverse_density` — multi-restart training facade with the
-  subset-of-positive-bags speed-up of Section 4.3 and the
-  batched/sequential engine switch.
+  subset-of-positive-bags speed-up of Section 4.3.
 * :mod:`repro.core.cache` — the fingerprint-keyed trained-concept cache.
 * :mod:`repro.core.concept` — the learned concept ``(t, w)`` and bag scoring.
 * :mod:`repro.core.retrieval` — min-distance ranking over an image database.
@@ -31,10 +32,10 @@ from repro.core.diverse_density import (
     TrainerConfig,
     TrainingResult,
 )
-from repro.core.engine import BatchedArmijoDescent, BatchedProjectedDescent
 from repro.core.feedback import FeedbackLoop, FeedbackRound
 from repro.core.objective import BatchedDiverseDensityObjective, DiverseDensityObjective
-from repro.core.optimizer import LockstepLBFGSB
+from repro.core.optimizer import BatchedArmijoDescent, LockstepLBFGSB
+from repro.core.projection import BatchedProjectedDescent
 from repro.core.retrieval import (
     AUTO_SHARD_MIN_BAGS,
     PackedCorpus,

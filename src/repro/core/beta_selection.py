@@ -65,7 +65,6 @@ def select_beta(
     start_bag_subset: int | None = 2,
     start_instance_stride: int = 2,
     seed: int = 0,
-    engine: str = "batched",
     restart_prune_margin: float | None = None,
     cache: ConceptCache | None = None,
 ) -> BetaSelection:
@@ -80,8 +79,6 @@ def select_beta(
         betas: candidate constraint levels.
         max_iterations / start_bag_subset / start_instance_stride / seed:
             trainer knobs (validation can afford the Section 4.3 speed-up).
-        engine: training engine for the per-beta sweeps; the batched engine
-            turns each candidate's restart population into one tensor pass.
         restart_prune_margin: optional dynamic restart thinning (the sweep
             only needs a winner, so aggressive pruning is usually safe).
         cache: optional trained-concept cache shared with other sweeps — a
@@ -124,7 +121,6 @@ def select_beta(
                 start_bag_subset=start_bag_subset,
                 start_instance_stride=start_instance_stride,
                 seed=seed,
-                engine=engine,
                 restart_prune_margin=restart_prune_margin,
             )
         )

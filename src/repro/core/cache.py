@@ -9,7 +9,7 @@ bounded, thread-safe LRU keyed on *content fingerprints*:
     key = (kind, trainer fingerprint, BagSet fingerprint, extra starts)
 
 where the trainer fingerprint covers the full training configuration
-(scheme, solver backend, engine, restart policy, seeds — see
+(scheme, solver backend, restart policy, seeds — see
 ``TrainerConfig.fingerprint``) and the :meth:`~repro.bags.bag.BagSet.fingerprint`
 is a content hash of the stacked instances, labels and bag ids.  Equal keys
 therefore guarantee bit-identical training results, so a cache hit is

@@ -8,22 +8,14 @@ performance while cutting training time; :class:`TrainerConfig` exposes both
 that subset size and an optional per-bag instance stride for further
 thinning.
 
-Two execution engines run the restart population:
-
-* ``engine="batched"`` (default) — the lockstep engine of
-  :mod:`repro.core.engine`: all restarts descend together, one batched
-  objective evaluation per step, with converged restarts masked out and —
-  when ``restart_prune_margin`` is set — hopeless restarts frozen as soon
-  as they trail the incumbent best by more than the margin (the Section
-  4.3 thinning applied dynamically rather than only by start subset).
-* ``engine="sequential"`` — one solver per restart, the historical
-  per-start path; kept as the equivalence reference (on every backend the
-  batched engine drives — ``lbfgs``, ``armijo`` and ``projected`` — the two
-  engines are bit-identical per restart) and as the fallback for schemes
-  the batched engine cannot drive without changing their results: custom
-  schemes and the inequality scheme's SLSQP backend.  An engine switch
-  therefore never changes training outcomes; ``concept.metadata["engine"]``
-  records which engine actually ran.
+The restart population runs through :func:`~repro.core.engine.run_batched_scheme`:
+all restarts descend together, one batched objective evaluation per step,
+with converged restarts masked out and — when ``restart_prune_margin`` is
+set — hopeless restarts frozen as soon as they trail the incumbent best by
+more than the margin (the Section 4.3 thinning applied dynamically rather
+than only by start subset).  Every restart has the bits of its scheme's
+solver run on that start alone.  Schemes with no lockstep solver (the
+inequality scheme's SLSQP backend, custom schemes) run one start at a time.
 
 :class:`DiverseDensityTrainer` wires together the objective, a weight scheme
 and the restart strategy, and returns a :class:`TrainingResult` carrying the
@@ -46,11 +38,8 @@ from repro.bags.bag import BagSet
 from repro.core.concept import LearnedConcept
 from repro.core.engine import run_batched_scheme
 from repro.core.objective import DiverseDensityObjective
-from repro.core.schemes import SchemeResult, WeightScheme, make_scheme
+from repro.core.schemes import WeightScheme, make_scheme
 from repro.errors import TrainingError
-
-#: Valid :attr:`TrainerConfig.engine` values.
-ENGINES = ("batched", "sequential")
 
 
 @dataclass(frozen=True)
@@ -69,12 +58,11 @@ class TrainerConfig:
         start_instance_stride: take every ``k``-th instance of each chosen
             start bag (1 keeps all).
         seed: RNG seed for the start-bag subset choice.
-        engine: ``"batched"`` (lockstep multi-start engine, the default) or
-            ``"sequential"`` (one solver per restart).
-        restart_prune_margin: batched engine only — freeze a restart as soon
-            as its current value trails the incumbent best by more than this
-            margin; ``None`` disables pruning (and is required for exact
-            engine equivalence).
+        restart_prune_margin: freeze a restart as soon as its current value
+            trails the incumbent best by more than this margin; ``None``
+            disables pruning (and is required for every restart to match
+            its solver run alone).  Ignored by schemes with no lockstep
+            solver (SLSQP, custom).
     """
 
     scheme: WeightScheme | str = "inequality"
@@ -84,7 +72,6 @@ class TrainerConfig:
     start_bag_subset: int | None = None
     start_instance_stride: int = 1
     seed: int = 0
-    engine: str = "batched"
     restart_prune_margin: float | None = None
 
     def __post_init__(self) -> None:
@@ -95,10 +82,6 @@ class TrainerConfig:
         if self.start_instance_stride < 1:
             raise TrainingError(
                 f"start_instance_stride must be >= 1, got {self.start_instance_stride}"
-            )
-        if self.engine not in ENGINES:
-            raise TrainingError(
-                f"unknown training engine {self.engine!r}; known: {', '.join(ENGINES)}"
             )
         if self.restart_prune_margin is not None and self.restart_prune_margin < 0:
             raise TrainingError(
@@ -131,7 +114,6 @@ class TrainerConfig:
                 f"subset={self.start_bag_subset}",
                 f"stride={self.start_instance_stride}",
                 f"seed={self.seed}",
-                f"engine={self.engine}",
                 f"prune={self.restart_prune_margin}",
             ]
         )
@@ -162,7 +144,7 @@ class StartRecord:
         value: final NLL reached (the value at freeze time when pruned).
         n_iterations: solver iterations consumed.
         converged: whether the solver's stopping criterion was met.
-        pruned: whether the batched engine froze this restart early because
+        pruned: whether the trainer froze this restart early because
             it trailed the incumbent best by more than the prune margin.
     """
 
@@ -247,61 +229,19 @@ class DiverseDensityTrainer:
 
         Raises:
             BagError: if the set has no positive bag.
-            TrainingError: if no restart produced a finite optimum.
+            TrainingError: if an extra start is malformed (see
+                :func:`select_restart_points`) or no restart produced a
+                finite optimum.
         """
         started_at = time.perf_counter()
         objective = DiverseDensityObjective(bag_set)
-        starts = self._select_starts(bag_set, extra_starts)
-
-        records: list[StartRecord] | None = None
-        best: SchemeResult | None = None
-        engine_used = "sequential"
-        if self._config.engine == "batched":
-            records, best = self._train_batched(objective, starts)
-            if records is not None:
-                engine_used = "batched"
-        if records is None:
-            # Sequential engine, or a scheme the batched engine cannot
-            # drive without changing its results (custom schemes, SLSQP).
-            records, best = self._train_sequential(objective, starts)
-
-        if best is None:
-            raise TrainingError("no restart produced a finite Diverse Density optimum")
-
-        n_pruned = sum(1 for record in records if record.pruned)
-        elapsed = time.perf_counter() - started_at
-        concept = LearnedConcept(
-            t=best.t,
-            w=best.w,
-            nll=best.value,
-            scheme=self._scheme.describe(),
-            metadata={
-                "n_starts": len(records),
-                "n_starts_pruned": n_pruned,
-                "engine": engine_used,
-                "elapsed_seconds": elapsed,
-                "n_positive_bags": bag_set.n_positive,
-                "n_negative_bags": bag_set.n_negative,
-            },
+        starts = select_restart_points(
+            bag_set,
+            subset=self._config.start_bag_subset,
+            stride=self._config.start_instance_stride,
+            seed=self._config.seed,
+            extra_starts=extra_starts,
         )
-        return TrainingResult(
-            concept=concept,
-            starts=tuple(records),
-            n_starts=len(records),
-            elapsed_seconds=elapsed,
-            n_starts_pruned=n_pruned,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Engines                                                             #
-    # ------------------------------------------------------------------ #
-
-    def _train_batched(
-        self,
-        objective: DiverseDensityObjective,
-        starts: list[tuple[str, int, np.ndarray, np.ndarray | None]],
-    ) -> tuple[list[StartRecord] | None, SchemeResult | None]:
-        """All restarts in lockstep; ``(None, None)`` for unbatchable schemes."""
         n_dims = objective.n_dims
         t0 = np.vstack([t for _, _, t, _ in starts])
         # Unit weights as a broadcast view: no (R, d) block unless a start
@@ -311,20 +251,17 @@ class DiverseDensityTrainer:
             if w_start is not None:
                 if not w0.flags.writeable:
                     w0 = w0.copy()
-                w0[row] = self._check_start_weights(w_start, n_dims)
-
+                w0[row] = w_start
         outcome = run_batched_scheme(
-            objective.batched,
+            objective,
             self._scheme,
             t0,
             w0,
             prune_margin=self._config.restart_prune_margin,
         )
-        if outcome is None:
-            return None, None
 
         records: list[StartRecord] = []
-        best: SchemeResult | None = None
+        best_row: int | None = None
         for row, (bag_id, instance_index, _, _) in enumerate(starts):
             value = float(outcome.values[row])
             records.append(
@@ -337,64 +274,32 @@ class DiverseDensityTrainer:
                     pruned=bool(outcome.pruned[row]),
                 )
             )
-            if np.isfinite(value) and (best is None or value < best.value):
-                best = SchemeResult(
-                    t=outcome.t[row],
-                    w=outcome.w[row],
-                    value=value,
-                    n_iterations=int(outcome.n_iterations[row]),
-                    converged=bool(outcome.converged[row]),
-                )
-        return records, best
+            if np.isfinite(value) and (best_row is None or value < records[best_row].value):
+                best_row = row
+        if best_row is None:
+            raise TrainingError("no restart produced a finite Diverse Density optimum")
 
-    def _train_sequential(
-        self,
-        objective: DiverseDensityObjective,
-        starts: list[tuple[str, int, np.ndarray, np.ndarray | None]],
-    ) -> tuple[list[StartRecord], SchemeResult | None]:
-        """One scheme solver per restart (the historical path)."""
-        best: SchemeResult | None = None
-        records: list[StartRecord] = []
-        for bag_id, instance_index, t0, w_start in starts:
-            result = self._scheme.optimize(objective, t0, w0=w_start)
-            records.append(
-                StartRecord(
-                    bag_id=bag_id,
-                    instance_index=instance_index,
-                    value=result.value,
-                    n_iterations=result.n_iterations,
-                    converged=result.converged,
-                )
-            )
-            if np.isfinite(result.value) and (best is None or result.value < best.value):
-                best = result
-        return records, best
-
-    # ------------------------------------------------------------------ #
-    # Restart selection                                                   #
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _check_start_weights(weights: np.ndarray, n_dims: int) -> np.ndarray:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.size != n_dims:
-            raise TrainingError(
-                f"extra start weights must have {n_dims} entries, got {w.size}"
-            )
-        if np.any(w < 0):
-            raise TrainingError("extra start weights must be non-negative")
-        return w
-
-    def _select_starts(
-        self, bag_set: BagSet, extra_starts: Sequence[ExtraStart] = ()
-    ) -> list[tuple[str, int, np.ndarray, np.ndarray | None]]:
-        """Choose the restart points: instances of (a subset of) positive bags."""
-        return select_restart_points(
-            bag_set,
-            subset=self._config.start_bag_subset,
-            stride=self._config.start_instance_stride,
-            seed=self._config.seed,
-            extra_starts=extra_starts,
+        n_pruned = int(outcome.pruned.sum())
+        elapsed = time.perf_counter() - started_at
+        concept = LearnedConcept(
+            t=outcome.t[best_row],
+            w=outcome.w[best_row],
+            nll=records[best_row].value,
+            scheme=self._scheme.describe(),
+            metadata={
+                "n_starts": len(records),
+                "n_starts_pruned": n_pruned,
+                "elapsed_seconds": elapsed,
+                "n_positive_bags": bag_set.n_positive,
+                "n_negative_bags": bag_set.n_negative,
+            },
+        )
+        return TrainingResult(
+            concept=concept,
+            starts=tuple(records),
+            n_starts=len(records),
+            elapsed_seconds=elapsed,
+            n_starts_pruned=n_pruned,
         )
 
 
@@ -413,7 +318,9 @@ def select_restart_points(
     weights.
 
     Raises:
-        TrainingError: if the set holds no positive bag.
+        TrainingError: if the set holds no positive bag, or an extra start's
+            point or weights do not have ``bag_set.n_dims`` entries, or its
+            weights are negative.
     """
     positive = list(bag_set.positive_bags)
     if not positive:
@@ -426,8 +333,19 @@ def select_restart_points(
     for bag in positive:
         for index in range(0, bag.n_instances, stride):
             starts.append((bag.bag_id, index, bag.instances[index].copy(), None))
+    n_dims = bag_set.n_dims
     for extra in extra_starts:
         t = np.asarray(extra.t, dtype=np.float64).reshape(-1).copy()
-        w = None if extra.w is None else np.asarray(extra.w, dtype=np.float64)
+        if t.size != n_dims:
+            raise TrainingError(f"extra start point must have {n_dims} entries, got {t.size}")
+        w = None
+        if extra.w is not None:
+            w = np.asarray(extra.w, dtype=np.float64).reshape(-1)
+            if w.size != n_dims:
+                raise TrainingError(
+                    f"extra start weights must have {n_dims} entries, got {w.size}"
+                )
+            if np.any(w < 0):
+                raise TrainingError("extra start weights must be non-negative")
         starts.append((extra.label, -1, t, w))
     return starts

@@ -15,20 +15,15 @@ expectation-maximisation loop:
   stops improving.
 
 The result is a drop-in alternative trainer with the same inputs and
-outputs as :class:`~repro.core.diverse_density.DiverseDensityTrainer`,
-including the two execution engines:
-
-* ``engine="batched"`` (default) runs every restart's EM loop in lockstep —
-  the E-step distances of all still-active restarts come from one
-  ``(R, n_instances)`` tensor, and the final full-objective refinement
-  scores (which make EM-DD concepts comparable with plain DD concepts) are
-  evaluated for the whole restart population in a single batched call.
-  ``restart_prune_margin`` freezes restarts whose reduced NLL trails the
-  incumbent best.  M-steps operate on per-restart reduced bag sets and run
-  per restart in both engines, so the two engines are bit-identical when
-  pruning is off.
-* ``engine="sequential"`` runs one restart at a time, as the original
-  implementation did.
+outputs as :class:`~repro.core.diverse_density.DiverseDensityTrainer`.
+Every restart's EM loop runs in lockstep: the E-step distances of all
+still-active restarts come from one ``(R, n_instances)`` tensor, and the
+final full-objective refinement scores (which make EM-DD concepts
+comparable with plain DD concepts) are evaluated for the whole restart
+population in a single batched call.  ``restart_prune_margin`` freezes
+restarts whose reduced NLL trails the incumbent best.  M-steps operate on
+per-restart reduced bag sets and run ``scheme.optimize`` per restart, so
+with pruning off every restart has the bits of its EM loop run alone.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ import numpy as np
 from repro.bags.bag import Bag, BagSet
 from repro.core.concept import LearnedConcept
 from repro.core.diverse_density import (
-    ENGINES,
     ExtraStart,
     StartRecord,
     TrainingResult,
@@ -73,12 +67,9 @@ class EMDDConfig:
             over unchanged).
         start_instance_stride: restart thinning within each start bag.
         seed: RNG seed for the subset choice.
-        engine: ``"batched"`` (lockstep EM with batched E-steps and final
-            scoring, the default) or ``"sequential"`` (one restart at a
-            time).
-        restart_prune_margin: batched engine only — freeze a restart whose
-            reduced NLL trails the incumbent best by more than this margin;
-            ``None`` disables pruning.
+        restart_prune_margin: freeze a restart whose reduced NLL trails the
+            incumbent best by more than this margin; ``None`` disables
+            pruning.
     """
 
     inner_scheme: WeightScheme | str = "identical"
@@ -90,7 +81,6 @@ class EMDDConfig:
     start_bag_subset: int | None = None
     start_instance_stride: int = 1
     seed: int = 0
-    engine: str = "batched"
     restart_prune_margin: float | None = None
 
     def __post_init__(self) -> None:
@@ -103,10 +93,6 @@ class EMDDConfig:
         if self.start_instance_stride < 1:
             raise TrainingError(
                 f"start_instance_stride must be >= 1, got {self.start_instance_stride}"
-            )
-        if self.engine not in ENGINES:
-            raise TrainingError(
-                f"unknown training engine {self.engine!r}; known: {', '.join(ENGINES)}"
             )
         if self.restart_prune_margin is not None and self.restart_prune_margin < 0:
             raise TrainingError(
@@ -136,7 +122,6 @@ class EMDDConfig:
                 f"subset={self.start_bag_subset}",
                 f"stride={self.start_instance_stride}",
                 f"seed={self.seed}",
-                f"engine={self.engine}",
                 f"prune={self.restart_prune_margin}",
             ]
         )
@@ -171,7 +156,9 @@ class EMDDTrainer:
 
         Raises:
             BagError: if the set has no positive bag.
-            TrainingError: if no restart produced a finite optimum.
+            TrainingError: if an extra start is malformed (see
+                :func:`~repro.core.diverse_density.select_restart_points`)
+                or no restart produced a finite optimum.
         """
         bag_set.validate_for_training()
         started_at = time.perf_counter()
@@ -184,11 +171,7 @@ class EMDDTrainer:
             extra_starts=extra_starts,
         )
 
-        if self._config.engine == "batched":
-            records, best = self._train_batched(bag_set, full_objective, starts)
-        else:
-            records, best = self._train_sequential(bag_set, full_objective, starts)
-
+        records, best = self._train_lockstep(bag_set, full_objective, starts)
         if best is None:
             raise TrainingError("no EM-DD restart produced a finite optimum")
         n_pruned = sum(1 for record in records if record.pruned)
@@ -202,7 +185,6 @@ class EMDDTrainer:
             metadata={
                 "n_starts": len(records),
                 "n_starts_pruned": n_pruned,
-                "engine": self._config.engine,
                 "elapsed_seconds": elapsed,
                 "n_positive_bags": bag_set.n_positive,
                 "n_negative_bags": bag_set.n_negative,
@@ -216,40 +198,7 @@ class EMDDTrainer:
             n_starts_pruned=n_pruned,
         )
 
-    # ------------------------------------------------------------------ #
-    # Engines                                                             #
-    # ------------------------------------------------------------------ #
-
-    def _train_sequential(
-        self,
-        bag_set: BagSet,
-        full_objective: BatchedDiverseDensityObjective,
-        starts: list[tuple[str, int, np.ndarray, np.ndarray | None]],
-    ) -> tuple[list[StartRecord], tuple[float, np.ndarray, np.ndarray] | None]:
-        """One restart at a time (the historical path)."""
-        best: tuple[float, np.ndarray, np.ndarray] | None = None
-        records: list[StartRecord] = []
-        for bag_id, instance_index, t0, w0 in starts:
-            t, w, _, n_iterations = self._run_em(bag_set, t0, w0)
-            # Score restarts on the *full* noisy-or objective so EM-DD
-            # concepts are comparable with plain DD concepts.
-            full_nll = float(
-                full_objective.value(t.reshape(1, -1), w.reshape(1, -1))[0]
-            )
-            records.append(
-                StartRecord(
-                    bag_id=bag_id,
-                    instance_index=instance_index,
-                    value=full_nll,
-                    n_iterations=n_iterations,
-                    converged=True,
-                )
-            )
-            if np.isfinite(full_nll) and (best is None or full_nll < best[0]):
-                best = (full_nll, t, w)
-        return records, best
-
-    def _train_batched(
+    def _train_lockstep(
         self,
         bag_set: BagSet,
         full_objective: BatchedDiverseDensityObjective,
@@ -265,7 +214,7 @@ class EMDDTrainer:
         w = np.ones((n_restarts, n_dims))
         for row, (_, _, _, w0) in enumerate(starts):
             if w0 is not None:
-                w[row] = np.asarray(w0, dtype=np.float64).reshape(-1)
+                w[row] = w0
 
         masks = RestartMasks(n_restarts, self._config.max_em_iterations)
         reduced_nll = np.full(n_restarts, np.inf)
@@ -319,42 +268,6 @@ class EMDDTrainer:
                 best = (full_nll, t[row].copy(), w[row].copy())
         return records, best
 
-    # ------------------------------------------------------------------ #
-    # EM internals                                                        #
-    # ------------------------------------------------------------------ #
-
-    def _run_em(
-        self, bag_set: BagSet, t0: np.ndarray, w0: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        """One restart: alternate representative selection and M-steps."""
-        n_dims = bag_set.n_dims
-        all_x, spans = self._stacked_bags(bag_set)
-        all_sq = all_x * all_x
-        t = np.asarray(t0, dtype=np.float64).copy()
-        w = (
-            np.ones(n_dims)
-            if w0 is None
-            else np.asarray(w0, dtype=np.float64).reshape(-1).copy()
-        )
-        previous_nll = np.inf
-        previous_selection: tuple[int, ...] | None = None
-        total_inner = 0
-
-        for _ in range(self._config.max_em_iterations):
-            selection = self._select_representatives(all_x, all_sq, spans, t, w)
-            reduced = self._reduced_bag_set(bag_set, selection)
-            objective = DiverseDensityObjective(reduced)
-            result = self._scheme.optimize(objective, t, w0=w)
-            total_inner += result.n_iterations
-            t, w = result.t, result.w
-            improved = previous_nll - result.value > self._config.tolerance
-            stable = selection == previous_selection
-            previous_nll = result.value
-            previous_selection = selection
-            if stable or not improved:
-                break
-        return t, w, previous_nll, total_inner
-
     @staticmethod
     def _stacked_bags(bag_set: BagSet) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """All bags' instances stacked in insertion order, plus bag spans."""
@@ -365,25 +278,6 @@ class EMDDTrainer:
             spans.append((offset, offset + matrix.shape[0]))
             offset += matrix.shape[0]
         return np.vstack(matrices), spans
-
-    @staticmethod
-    def _select_representatives(
-        all_x: np.ndarray,
-        all_sq: np.ndarray,
-        spans: list[tuple[int, int]],
-        t: np.ndarray,
-        w: np.ndarray,
-    ) -> tuple[int, ...]:
-        """E-step: index of the closest instance within each bag.
-
-        Operates on the pre-stacked corpus (built once per restart) and
-        evaluates through the batched distance kernel with ``R = 1`` so the
-        sequential and lockstep engines pick identical representatives.
-        """
-        d2 = batched_weighted_distances(
-            all_x, all_sq, t.reshape(1, -1), w.reshape(1, -1)
-        )[0]
-        return tuple(int(d2[s:e].argmin()) for s, e in spans)
 
     @staticmethod
     def _reduced_bag_set(bag_set: BagSet, selection: tuple[int, ...]) -> BagSet:

@@ -32,8 +32,8 @@ weight gradient.  The identical-weights scheme evaluates through
 evaluation instead of five, with the bits of ``value_and_grad(T, ones)``.
 
 :class:`DiverseDensityObjective` — the historical single-start interface —
-is a thin ``R = 1`` view over the batched objective, so the sequential and
-batched training engines share bit-identical arithmetic.
+is a thin ``R = 1`` view over the batched objective, so a per-start solve and
+a lockstep restart share bit-identical arithmetic.
 
 Gradient derivation (used below): with ``d2_j = ||x_j - t||^2_w`` and
 ``p_j = exp(-d2_j)``, every bag contributes per-instance coefficients
@@ -57,7 +57,8 @@ stable* — evaluating a subset of restarts (down to a single one) produces
 bit-identical rows to evaluating the full batch.  That is why the
 contractions use :func:`numpy.einsum` (whose per-row accumulation order is
 independent of the batch composition) rather than BLAS matrix products
-(whose blocking is not).  The engine equivalence suite relies on this.
+(whose blocking is not).  Lockstep training relies on this: each restart
+gets the bits it would get running alone.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class BatchedDiverseDensityObjective:
         bag_set: the labelled bags; must contain at least one positive bag.
 
     The objective is stateless after construction; it can be shared across
-    restarts, schemes and engines.  All evaluation methods accept ``(R, d)``
+    restarts and schemes.  All evaluation methods accept ``(R, d)``
     concept/weight matrices for any ``R >= 1``.
     """
 
@@ -288,7 +289,8 @@ class DiverseDensityObjective:
 
     This is the historical scalar interface consumed by the per-start
     weight schemes and solvers; it evaluates through the batched objective
-    with ``R = 1`` so both training engines share identical arithmetic.
+    with ``R = 1`` so per-start and lockstep solves share identical
+    arithmetic.
     """
 
     def __init__(self, bag_set: BagSet) -> None:

@@ -13,14 +13,14 @@ Two interchangeable backends minimise a smooth ``f: R^n -> R`` given a
 Both return an :class:`OptimizationOutcome` so callers never need to care
 which backend ran.
 
-The L-BFGS-B backend is driven by :class:`LockstepLBFGSB`, which calls
-scipy's reverse-communication routine ``setulb`` directly and replays the
-loop of ``scipy.optimize.minimize(method="L-BFGS-B")`` step for step.  It
-runs any number of restarts at once: the batched trainer
-(:mod:`repro.core.engine`) hands it every restart, and
-:class:`LBFGSOptimizer` is the same solver on one row, so there is a single
-L-BFGS-B implementation and both training engines follow identical
-trajectories.
+Each backend is one row of a solver that steps any number of restarts in
+lockstep, and that solver holds the rule's only descent loop:
+:class:`BatchedArmijoDescent` for Armijo descent and :class:`LockstepLBFGSB`
+for L-BFGS-B.  The trainer (:mod:`repro.core.engine`) hands them every
+restart at once; the per-start classes serve EM-DD's M-steps and callers
+with one start.  :class:`LockstepLBFGSB` calls scipy's reverse-communication
+routine ``setulb`` directly and replays the loop of
+``scipy.optimize.minimize(method="L-BFGS-B")`` step for step.
 
 scipy's solvers call BLAS (``setulb`` calls ``dtrsm``) through scipy's own
 bundled OpenBLAS, a separate library from numpy's.  That build runs even a
@@ -154,16 +154,10 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row dot products of two ``(R, m)`` matrices.
 
     Implemented with :func:`numpy.einsum` so every row's accumulation order
-    is independent of the batch composition — the sequential solvers and
-    their lockstep batched counterparts in :mod:`repro.core.engine` share
-    this helper and therefore produce bit-identical scalars per restart.
+    is independent of the batch composition: a lockstep solver gives each
+    restart the scalars it would get running alone.
     """
     return np.einsum("rm,rm->r", a, b)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Scalar dot product through :func:`row_dots` (rounding-compatible)."""
-    return float(row_dots(a.reshape(1, -1), b.reshape(1, -1))[0])
 
 
 class RestartMasks:
@@ -246,18 +240,44 @@ class Minimizer(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class ArmijoGradientDescent:
-    """Steepest descent with backtracking line search.
+def _minimize_one_row(
+    solver: BatchedArmijoDescent | LockstepLBFGSB, fun: ValueAndGrad, x0: np.ndarray
+) -> OptimizationOutcome:
+    """Run a lockstep ``solver`` on the single start ``x0``."""
+
+    def one_row(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value, grad = fun(points[0])
+        # A copy: the solver updates its gradient rows in place.
+        grads = np.array(grad, dtype=np.float64).reshape(1, -1)
+        return np.array([value], dtype=np.float64), grads
+
+    start = np.asarray(x0, dtype=np.float64).reshape(1, -1)
+    z, values, masks = solver.minimize(one_row, start)
+    return OptimizationOutcome(
+        x=z[0],
+        value=float(values[0]),
+        n_iterations=int(masks.n_iterations[0]),
+        converged=bool(masks.converged[0]),
+    )
+
+
+class BatchedArmijoDescent:
+    """Steepest descent with backtracking line search, restarts in lockstep.
+
+    Every restart keeps its own step-size memory and runs its own acceptance
+    tests; all still-searching restarts are evaluated through one batched
+    objective call per backtrack level.  :class:`ArmijoGradientDescent` is
+    this solver on one row.
 
     Args:
         max_iterations: hard cap on outer iterations.
-        gradient_tolerance: stop when ``||grad||_inf`` falls below this.
+        gradient_tolerance: stop a restart when ``||grad||_inf`` falls below
+            this.
         initial_step: first step size tried at each iteration.
         backtrack_factor: multiplicative step reduction on rejection.
         armijo_c: sufficient-decrease constant in ``(0, 1)``.
-        max_backtracks: line-search evaluations per iteration before giving
-            up on that direction (treated as convergence — the gradient step
-            no longer makes progress at representable step sizes).
+        max_backtracks: line-search evaluations per iteration before a
+            restart gives up on its direction (treated as convergence).
     """
 
     def __init__(
@@ -282,37 +302,101 @@ class ArmijoGradientDescent:
         self._c = armijo_c
         self._max_backtracks = max_backtracks
 
-    def minimize(self, fun: ValueAndGrad, x0: np.ndarray) -> OptimizationOutcome:
-        """Minimise ``fun`` from ``x0``; see :class:`OptimizationOutcome`."""
-        x = np.asarray(x0, dtype=np.float64).copy()
-        value, grad = fun(x)
-        if not np.isfinite(value):
-            raise OptimizationError("objective is non-finite at the starting point")
-        step = self._step0
+    def minimize(
+        self,
+        fun: BatchedValueAndGrad,
+        z0: np.ndarray,
+        prune_margin: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, RestartMasks]:
+        """Minimise all rows of ``z0``; returns ``(z, values, masks)``.
+
+        Raises:
+            OptimizationError: if any restart's objective is non-finite at
+                its starting point.
+        """
+        z = np.array(z0, dtype=np.float64)
+        n_restarts = z.shape[0]
+        values, grads = fun(z)
+        check_start_values(values)
+        step = np.full(n_restarts, self._step0)
+        masks = RestartMasks(n_restarts, self._max_iterations)
+
         for iteration in range(self._max_iterations):
-            grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
-            if grad_norm <= self._gtol:
-                return OptimizationOutcome(x, value, iteration, converged=True)
-            direction = -grad
-            slope = _dot(grad, direction)  # = -||grad||^2 < 0
-            accepted = False
-            trial_step = step
+            if not masks.active.any():
+                break
+            masks.prune(values, iteration, prune_margin)
+            rows = np.flatnonzero(masks.active)
+            if rows.size == 0:
+                break
+            grad_norm = np.abs(grads[rows]).max(axis=1, initial=0.0)
+            done = grad_norm <= self._gtol
+            if done.any():
+                masks.finish(rows[done], iteration, converged=True)
+                rows = rows[~done]
+                if rows.size == 0:
+                    continue
+            direction = -grads[rows]
+            slope = row_dots(grads[rows], direction)  # = -||grad||^2 < 0
+            trial = step[rows].copy()
+            pending = np.arange(rows.size)
             for _ in range(self._max_backtracks):
-                candidate = x + trial_step * direction
-                cand_value, cand_grad = fun(candidate)
-                if np.isfinite(cand_value) and cand_value <= value + self._c * trial_step * slope:
-                    accepted = True
+                subset = rows[pending]
+                candidate = z[subset] + trial[pending, None] * direction[pending]
+                cand_values, cand_grads = fun(candidate)
+                accept = np.isfinite(cand_values) & (
+                    cand_values
+                    <= values[subset] + self._c * trial[pending] * slope[pending]
+                )
+                if accept.any():
+                    hit = subset[accept]
+                    z[hit] = candidate[accept]
+                    values[hit] = cand_values[accept]
+                    grads[hit] = cand_grads[accept]
+                    # Allow the step to grow back so a single hard iteration
+                    # does not permanently shrink progress.
+                    step[hit] = np.minimum(
+                        self._step0, trial[pending[accept]] / self._rho
+                    )
+                pending = pending[~accept]
+                if pending.size == 0:
                     break
-                trial_step *= self._rho
-            if not accepted:
-                # No representable step improves the objective: local optimum
+                trial[pending] *= self._rho
+            if pending.size:
+                # No representable step improves these restarts: local optima
                 # to machine precision for this method.
-                return OptimizationOutcome(x, value, iteration, converged=True)
-            x, value, grad = candidate, cand_value, cand_grad
-            # Allow the step to grow back so a single hard iteration does not
-            # permanently shrink progress.
-            step = min(self._step0, trial_step / self._rho)
-        return OptimizationOutcome(x, value, self._max_iterations, converged=False)
+                masks.finish(rows[pending], iteration, converged=True)
+        return z, values, masks
+
+
+class ArmijoGradientDescent:
+    """Steepest descent with backtracking line search on one start.
+
+    One row of :class:`BatchedArmijoDescent`, so the per-start path and the
+    lockstep trainer share one Armijo implementation.  Takes the same
+    arguments.
+    """
+
+    def __init__(
+        self,
+        max_iterations: int = 200,
+        gradient_tolerance: float = 1e-5,
+        initial_step: float = 1.0,
+        backtrack_factor: float = 0.5,
+        armijo_c: float = 1e-4,
+        max_backtracks: int = 40,
+    ) -> None:
+        self._lockstep = BatchedArmijoDescent(
+            max_iterations, gradient_tolerance, initial_step,
+            backtrack_factor, armijo_c, max_backtracks,
+        )
+
+    def minimize(self, fun: ValueAndGrad, x0: np.ndarray) -> OptimizationOutcome:
+        """Minimise ``fun`` from ``x0``; see :class:`OptimizationOutcome`.
+
+        Raises:
+            OptimizationError: if the objective is non-finite at ``x0``.
+        """
+        return _minimize_one_row(self._lockstep, fun, x0)
 
 
 class _SetulbSlots:
@@ -527,7 +611,7 @@ class LBFGSOptimizer:
     """L-BFGS-B backend (scipy) for unconstrained minimisation.
 
     One row of :class:`LockstepLBFGSB`, so the per-start path and the
-    batched trainer share one L-BFGS-B implementation.
+    trainer share one L-BFGS-B implementation.
 
     Args:
         max_iterations: iteration cap passed to scipy.
@@ -545,19 +629,7 @@ class LBFGSOptimizer:
                 NaN objective would otherwise silently poison the line
                 search) or the solver ends at a non-finite point.
         """
-
-        def one_row(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            value, grad = fun(points[0])
-            return np.array([value], dtype=np.float64), np.reshape(grad, (1, -1))
-
-        start = np.asarray(x0, dtype=np.float64).reshape(1, -1)
-        z, values, masks = self._lockstep.minimize(one_row, start)
-        return OptimizationOutcome(
-            x=z[0],
-            value=float(values[0]),
-            n_iterations=int(masks.n_iterations[0]),
-            converged=bool(masks.converged[0]),
-        )
+        return _minimize_one_row(self._lockstep, fun, x0)
 
 
 def make_minimizer(

@@ -7,10 +7,12 @@ The inequality-constraint scheme restricts the weights to the set
 The thesis solved this with CFSQP, a proprietary feasible-SQP C solver.  We
 substitute two open equivalents (see DESIGN.md):
 
-* :class:`ProjectedGradientDescent` — projected gradient with backtracking on
-  the projection arc.  The Euclidean projection onto ``C(beta)`` is computed
-  *exactly*: clip to the box; if the sum constraint is violated the optimum
-  has the form ``w = clip(y + lam, 0, 1)`` for the unique ``lam >= 0`` with
+* :class:`BatchedProjectedDescent` — projected gradient with backtracking on
+  the projection arc, for any number of restarts in lockstep
+  (:class:`ProjectedGradientDescent` is the same solver on one start).  The
+  Euclidean projection onto ``C(beta)`` is computed *exactly*: clip to the
+  box; if the sum constraint is violated the optimum has the form
+  ``w = clip(y + lam, 0, 1)`` for the unique ``lam >= 0`` with
   ``sum(w) = beta * n`` (KKT), found by bisection on the monotone sum.
 * :class:`SLSQPBackend` — scipy's sequential least-squares QP, the closest
   published relative of CFSQP.
@@ -27,11 +29,15 @@ from typing import Callable
 import numpy as np
 from scipy import optimize as scipy_optimize
 
-from repro.core.optimizer import _one_blas_thread, row_dots
+from repro.core.optimizer import RestartMasks, _one_blas_thread, check_start_values, row_dots
 from repro.errors import OptimizationError
 
 #: ``value_and_grad`` over the stacked vector ``z = [t, w]``.
 StackedValueAndGrad = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray, np.ndarray]]
+#: Batched ``value_and_grad`` over split ``(t, w)`` blocks.
+BatchedStackedValueAndGrad = Callable[
+    [np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
+]
 
 _BISECT_ITERATIONS = 64
 
@@ -40,9 +46,9 @@ def project_weights_batch(weights: np.ndarray, beta: float) -> np.ndarray:
     """Row-wise exact Euclidean projection of ``(R, n)`` weights onto ``C(beta)``.
 
     Every row is projected independently with the same clip-then-bisect
-    scheme as :func:`project_weights`; the arithmetic per row is identical
-    regardless of which other rows share the batch (elementwise ops plus
-    per-row sums only), which the batched training engine relies on.
+    scheme; the arithmetic per row is identical regardless of which other
+    rows share the batch (elementwise ops plus per-row sums only), which the
+    lockstep solver relies on.
 
     Args:
         weights: ``(R, n)`` matrix of arbitrary real rows.
@@ -123,12 +129,24 @@ class ConstrainedOutcome:
     converged: bool
 
 
-class ProjectedGradientDescent:
-    """Projected gradient over ``(t, w)`` with ``w`` confined to ``C(beta)``.
+class BatchedProjectedDescent:
+    """Projected gradient over ``(t, w)``, ``w`` in ``C(beta)``, in lockstep.
 
     Each iteration takes a gradient step on the stacked vector and projects
-    the weight block back onto the constraint set; the step size backtracks
-    until the projected point satisfies an Armijo-style decrease.
+    the weight block back onto the constraint set.  Per restart, the step is
+    reset every iteration and backtracks until the projected point meets an
+    Armijo-style decrease; a restart stops when its projected step no longer
+    moves.  :class:`ProjectedGradientDescent` is this solver on one row.
+
+    Args:
+        beta: the weight-sum constraint level in ``[0, 1]``.
+        max_iterations: hard cap on outer iterations.
+        gradient_tolerance: a restart stops once its projected move has norm
+            at most this.
+        initial_step: step size restored at each iteration.
+        backtrack_factor: multiplicative step reduction on rejection.
+        max_backtracks: candidate evaluations per iteration before a restart
+            is declared stationary.
     """
 
     def __init__(
@@ -157,42 +175,138 @@ class ProjectedGradientDescent:
         return self._beta
 
     def minimize(
-        self, fun: StackedValueAndGrad, t0: np.ndarray, w0: np.ndarray
-    ) -> ConstrainedOutcome:
-        """Minimise from ``(t0, w0)``; ``w0`` is projected to feasibility first."""
-        t = np.asarray(t0, dtype=np.float64).copy()
-        w = project_weights(np.asarray(w0, dtype=np.float64), self._beta)
-        value, grad_t, grad_w = fun(t, w)
-        if not np.isfinite(value):
-            raise OptimizationError("objective is non-finite at the starting point")
+        self,
+        fun: BatchedStackedValueAndGrad,
+        t0: np.ndarray,
+        w0: np.ndarray,
+        prune_margin: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RestartMasks]:
+        """Minimise all restarts; returns ``(t, w, values, masks)``.
+
+        ``w0`` rows are projected to feasibility first.
+
+        Raises:
+            OptimizationError: if any restart's objective is non-finite at
+                its (projected) starting point.
+        """
+        t = np.array(t0, dtype=np.float64)
+        w = project_weights_batch(np.asarray(w0, dtype=np.float64), self._beta)
+        n_restarts = t.shape[0]
+        values, grad_t, grad_w = fun(t, w)
+        check_start_values(values)
+        masks = RestartMasks(n_restarts, self._max_iterations)
 
         for iteration in range(self._max_iterations):
-            step = self._step0
-            accepted = False
+            if not masks.active.any():
+                break
+            masks.prune(values, iteration, prune_margin)
+            rows = np.flatnonzero(masks.active)
+            if rows.size == 0:
+                break
+            step = np.full(rows.size, self._step0)
+            pending = np.arange(rows.size)
             for _ in range(self._max_backtracks):
-                cand_t = t - step * grad_t
-                cand_w = project_weights(w - step * grad_w, self._beta)
-                move_t = (cand_t - t).reshape(1, -1)
-                move_w = (cand_w - w).reshape(1, -1)
-                move_norm2 = float(
-                    row_dots(move_t, move_t)[0] + row_dots(move_w, move_w)[0]
+                subset = rows[pending]
+                cand_t = t[subset] - step[pending, None] * grad_t[subset]
+                cand_w = project_weights_batch(
+                    w[subset] - step[pending, None] * grad_w[subset], self._beta
                 )
-                if move_norm2 <= self._gtol**2:
-                    # The projected step no longer moves: stationary point of
-                    # the projected dynamics.
-                    return ConstrainedOutcome(t, w, value, iteration, converged=True)
-                cand_value, cand_gt, cand_gw = fun(cand_t, cand_w)
+                move_t = cand_t - t[subset]
+                move_w = cand_w - w[subset]
+                move_norm2 = row_dots(move_t, move_t) + row_dots(move_w, move_w)
+                still = move_norm2 <= self._gtol**2
+                if still.any():
+                    # The projected step no longer moves: stationary points
+                    # of the projected dynamics.
+                    masks.finish(subset[still], iteration, converged=True)
+                    keep = ~still
+                    pending = pending[keep]
+                    cand_t, cand_w = cand_t[keep], cand_w[keep]
+                    move_norm2 = move_norm2[keep]
+                    if pending.size == 0:
+                        break
+                    subset = rows[pending]
+                cand_values, cand_gt, cand_gw = fun(cand_t, cand_w)
                 # Armijo on the projection arc: require decrease proportional
                 # to the squared move length.
-                if np.isfinite(cand_value) and cand_value <= value - 1e-4 / step * move_norm2:
-                    accepted = True
+                accept = np.isfinite(cand_values) & (
+                    cand_values
+                    <= values[subset] - 1e-4 / step[pending] * move_norm2
+                )
+                if accept.any():
+                    hit = subset[accept]
+                    t[hit] = cand_t[accept]
+                    w[hit] = cand_w[accept]
+                    values[hit] = cand_values[accept]
+                    grad_t[hit] = cand_gt[accept]
+                    grad_w[hit] = cand_gw[accept]
+                pending = pending[~accept]
+                if pending.size == 0:
                     break
-                step *= self._rho
-            if not accepted:
-                return ConstrainedOutcome(t, w, value, iteration, converged=True)
-            t, w, value = cand_t, cand_w, cand_value
-            grad_t, grad_w = cand_gt, cand_gw
-        return ConstrainedOutcome(t, w, value, self._max_iterations, converged=False)
+                step[pending] *= self._rho
+            if pending.size:
+                masks.finish(rows[pending], iteration, converged=True)
+        return t, w, values, masks
+
+
+class ProjectedGradientDescent:
+    """Projected gradient over ``(t, w)`` on one start.
+
+    One row of :class:`BatchedProjectedDescent`, so the per-start path and
+    the lockstep trainer share one projected-gradient implementation.  Takes
+    the same arguments.
+    """
+
+    def __init__(
+        self,
+        beta: float,
+        max_iterations: int = 200,
+        gradient_tolerance: float = 1e-5,
+        initial_step: float = 0.5,
+        backtrack_factor: float = 0.5,
+        max_backtracks: int = 40,
+    ) -> None:
+        self._lockstep = BatchedProjectedDescent(
+            beta, max_iterations, gradient_tolerance,
+            initial_step, backtrack_factor, max_backtracks,
+        )
+
+    @property
+    def beta(self) -> float:
+        """The constraint level."""
+        return self._lockstep.beta
+
+    def minimize(
+        self, fun: StackedValueAndGrad, t0: np.ndarray, w0: np.ndarray
+    ) -> ConstrainedOutcome:
+        """Minimise from ``(t0, w0)``; ``w0`` is projected to feasibility first.
+
+        Raises:
+            OptimizationError: if the objective is non-finite at the
+                (projected) start.
+        """
+
+        def one_row(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            value, grad_t, grad_w = fun(t[0], w[0])
+            # Copies: the solver updates its gradient rows in place.
+            return (
+                np.array([value], dtype=np.float64),
+                np.array(grad_t, dtype=np.float64).reshape(1, -1),
+                np.array(grad_w, dtype=np.float64).reshape(1, -1),
+            )
+
+        t, w, values, masks = self._lockstep.minimize(
+            one_row,
+            np.asarray(t0, dtype=np.float64).reshape(1, -1),
+            np.asarray(w0, dtype=np.float64).reshape(1, -1),
+        )
+        return ConstrainedOutcome(
+            t=t[0],
+            w=w[0],
+            value=float(values[0]),
+            n_iterations=int(masks.n_iterations[0]),
+            converged=bool(masks.converged[0]),
+        )
 
 
 class SLSQPBackend:

@@ -52,10 +52,9 @@ class ExperimentConfig:
         start_instance_stride: restart thinning within each start bag.
         max_iterations: per-start solver iteration cap.
         seed: master seed for split, example selection and subset choice.
-        engine: training engine, ``"batched"`` (lockstep multi-start) or
-            ``"sequential"`` (one solver per restart).
-        restart_prune_margin: batched engine only — freeze restarts that
-            trail the incumbent best by more than this margin.
+        restart_prune_margin: freeze restarts that trail the incumbent best
+            by more than this margin (ignored by schemes with no lockstep
+            solver: SLSQP, custom).
         warm_start: seed each feedback round after the first with an extra
             restart at the previous round's concept.
     """
@@ -74,7 +73,6 @@ class ExperimentConfig:
     start_instance_stride: int = 1
     max_iterations: int = 100
     seed: int = 0
-    engine: str = "batched"
     restart_prune_margin: float | None = None
     warm_start: bool = False
 
@@ -171,7 +169,6 @@ class RetrievalExperiment:
             start_bag_subset=cfg.start_bag_subset,
             start_instance_stride=cfg.start_instance_stride,
             seed=cfg.seed,
-            engine=cfg.engine,
             restart_prune_margin=cfg.restart_prune_margin,
         )
         learner = make_learner(cfg.learner, **params)

@@ -49,10 +49,9 @@ class RetrievalSession:
         start_bag_subset: optional Section 4.3 speed-up.
         seed: seed used by ``add_examples`` and the trainer.
         learner: registry name of the concept learner to train with.
-        engine: training engine, ``"batched"`` (lockstep multi-start, the
-            default) or ``"sequential"`` (one solver per restart).
-        restart_prune_margin: batched engine only — freeze restarts that
-            trail the incumbent best by more than this margin.
+        restart_prune_margin: freeze restarts that trail the incumbent best
+            by more than this margin (ignored by schemes with no lockstep
+            solver: SLSQP, custom).
         learner_params: explicit learner parameters; overrides the mapping
             derived from the DD-style keyword arguments above.
         service: share an existing :class:`RetrievalService` (and its bag
@@ -70,7 +69,6 @@ class RetrievalSession:
         start_bag_subset: int | None = None,
         seed: int = 0,
         learner: str = "dd",
-        engine: str = "batched",
         restart_prune_margin: float | None = None,
         learner_params: dict[str, object] | None = None,
         service: RetrievalService | None = None,
@@ -92,7 +90,6 @@ class RetrievalSession:
                 max_iterations=max_iterations,
                 start_bag_subset=start_bag_subset,
                 seed=seed,
-                engine=engine,
                 restart_prune_margin=restart_prune_margin,
             )
         )

@@ -199,17 +199,6 @@ class TestTrainingFlags:
         assert "pruned" in output
         assert "concept cache:" in output
 
-    def test_query_sequential_engine(self, snapshot, capsys):
-        code = main(
-            [
-                "query", "--db", snapshot, "--category", "waterfall",
-                "--scheme", "identical", "--positives", "2", "--negatives", "2",
-                "--seed", "3", "--train-engine", "sequential", "--verbose",
-            ]
-        )
-        assert code == 0
-        assert "engine sequential" in capsys.readouterr().out
-
     def test_query_prune_margin(self, snapshot, capsys):
         code = main(
             [
@@ -222,13 +211,17 @@ class TestTrainingFlags:
         assert "pruned" in capsys.readouterr().out
 
     def test_unknown_engine_rejected(self, snapshot):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "query", "--db", snapshot, "--category", "waterfall",
-                    "--train-engine", "warp-drive",
-                ]
-            )
+        # Training has one engine, so no command takes a flag to pick one.
+        for command in ("query", "experiment"):
+            for engine in ("batched", "sequential"):
+                with pytest.raises(SystemExit) as exc:
+                    main(
+                        [
+                            command, "--db", snapshot, "--category", "waterfall",
+                            "--train-engine", engine,
+                        ]
+                    )
+                assert exc.value.code == 2
 
     def test_batch_query_verbose_cache_stats(self, snapshot, capsys):
         code = main(

@@ -1,18 +1,19 @@
-"""Batched vs sequential training-engine equivalence.
+"""Lockstep training: every restart has the bits of its solver run alone.
 
-The batched engine is a pure execution-strategy change: stepping all
-restarts in lockstep must return *bit-identical* best concepts and
-per-start values to running the same solver one restart at a time.  This
-suite asserts that — property-based over random bag sets when `hypothesis`
-is installed, plus deterministic coverage of the edge shapes the issue
-calls out (single positive bag, stride-thinned starts, warm starts) and of
-the restart-pruning and fallback behaviours that are batched-only.
+The trainer steps all restarts of a fit in lockstep, one batched objective
+evaluation per step.  That is an execution strategy, not an approximation:
+row by row, a lockstep run over all starts must give the bits of the same
+scheme's solver run on that start alone (``scheme.optimize``, the one-row
+view of the same solver), which proves that no restart leaks into another.
+This suite asserts that property-based over random bag sets when
+`hypothesis` is installed, plus deterministic coverage of the edge shapes
+(single positive bag, stride-thinned starts, warm starts), restart pruning,
+and the per-start path of schemes with no lockstep solver (SLSQP, custom).
 
-Equivalence holds on every solver backend the batched engine replicates:
-`armijo` and `lbfgs` for the unconstrained schemes (L-BFGS-B runs through
-one reverse-communication solver in both engines, itself checked against
-the public `scipy.optimize.minimize`), `projected` for the inequality
-scheme.  SLSQP has no lockstep twin and stays on the sequential path.
+The per-start Armijo and projected-gradient views are themselves checked
+bitwise against short reference loops written out below, as `rank_by_loop`
+serves ranking; `scipy.optimize.minimize(method="L-BFGS-B")` is the L-BFGS-B
+oracle.
 """
 
 import numpy as np
@@ -20,14 +21,23 @@ import pytest
 from scipy import optimize as scipy_optimize
 
 from repro.bags.bag import Bag, BagSet
+from repro.core.concept import LearnedConcept
 from repro.core.diverse_density import (
     DiverseDensityTrainer,
     ExtraStart,
+    StartRecord,
     TrainerConfig,
     TrainingResult,
+    select_restart_points,
 )
 from repro.core.emdd import EMDDConfig, EMDDTrainer
 from repro.core.objective import BatchedDiverseDensityObjective, DiverseDensityObjective
+from repro.core.optimizer import ArmijoGradientDescent, OptimizationOutcome, row_dots
+from repro.core.projection import (
+    ConstrainedOutcome,
+    ProjectedGradientDescent,
+    project_weights,
+)
 from repro.core.schemes import (
     AlphaHackScheme,
     IdenticalWeightsScheme,
@@ -39,7 +49,7 @@ from repro.core.schemes import (
 from repro.errors import OptimizationError, TrainingError
 from tests.conftest import make_planted_bag_set
 
-#: Scheme factories whose batched solver replicates the sequential one.
+#: The paper schemes on every backend that has a lockstep solver.
 EQUIVALENT_SCHEMES = {
     "identical-armijo": lambda: IdenticalWeightsScheme(
         max_iterations=60, backend="armijo"
@@ -84,6 +94,41 @@ def random_bag_set(
     return bag_set
 
 
+def train_alone(
+    bag_set: BagSet,
+    scheme: WeightScheme,
+    stride: int = 1,
+    subset: int | None = None,
+    extra_starts: tuple[ExtraStart, ...] = (),
+) -> TrainingResult:
+    """Every start of the trainer's population through ``scheme.optimize`` alone."""
+    objective = DiverseDensityObjective(bag_set)
+    starts = select_restart_points(
+        bag_set, subset=subset, stride=stride, seed=0, extra_starts=extra_starts
+    )
+    records, results = [], []
+    for bag_id, instance_index, t0, w0 in starts:
+        result = scheme.optimize(objective, t0, w0=w0)
+        results.append(result)
+        records.append(
+            StartRecord(
+                bag_id=bag_id,
+                instance_index=instance_index,
+                value=result.value,
+                n_iterations=result.n_iterations,
+                converged=result.converged,
+            )
+        )
+    best = min(
+        (r for r in results if np.isfinite(r.value)), key=lambda r: r.value
+    )
+    return TrainingResult(
+        concept=LearnedConcept(t=best.t, w=best.w, nll=best.value),
+        starts=tuple(records),
+        n_starts=len(records),
+    )
+
+
 def train_both(
     bag_set: BagSet,
     scheme: WeightScheme,
@@ -91,111 +136,115 @@ def train_both(
     subset: int | None = None,
     extra_starts: tuple[ExtraStart, ...] = (),
 ) -> tuple[TrainingResult, TrainingResult]:
-    """The same configuration through both engines."""
-    results = []
-    for engine in ("batched", "sequential"):
-        trainer = DiverseDensityTrainer(
-            TrainerConfig(
-                scheme=scheme,
-                engine=engine,
-                start_instance_stride=stride,
-                start_bag_subset=subset,
-            )
+    """All starts through the trainer, and each start through its solver alone."""
+    trainer = DiverseDensityTrainer(
+        TrainerConfig(
+            scheme=scheme, start_instance_stride=stride, start_bag_subset=subset
         )
-        results.append(trainer.train(bag_set, extra_starts=extra_starts))
-    return results[0], results[1]
+    )
+    together = trainer.train(bag_set, extra_starts=extra_starts)
+    alone = train_alone(bag_set, scheme, stride, subset, extra_starts)
+    return together, alone
 
 
-def assert_bit_identical(batched: TrainingResult, sequential: TrainingResult) -> None:
+def assert_bit_identical(together: TrainingResult, alone: TrainingResult) -> None:
     """Every observable of the two runs must match exactly."""
-    assert batched.n_starts == sequential.n_starts
-    for left, right in zip(batched.starts, sequential.starts):
+    assert together.n_starts == alone.n_starts
+    for left, right in zip(together.starts, alone.starts):
         assert left.bag_id == right.bag_id
         assert left.instance_index == right.instance_index
         assert left.value == right.value  # bitwise, no tolerance
         assert left.n_iterations == right.n_iterations
         assert left.converged == right.converged
-    assert batched.concept.nll == sequential.concept.nll
-    assert np.array_equal(batched.concept.t, sequential.concept.t)
-    assert np.array_equal(batched.concept.w, sequential.concept.w)
-    assert batched.best_start.bag_id == sequential.best_start.bag_id
-    assert batched.best_start.instance_index == sequential.best_start.instance_index
+        assert left.pruned == right.pruned
+    assert together.concept.nll == alone.concept.nll
+    assert np.array_equal(together.concept.t, alone.concept.t)
+    assert np.array_equal(together.concept.w, alone.concept.w)
+    assert together.best_start.bag_id == alone.best_start.bag_id
+    assert together.best_start.instance_index == alone.best_start.instance_index
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("scheme_name", sorted(EQUIVALENT_SCHEMES))
     def test_planted_problem(self, scheme_name):
         bag_set, _ = make_planted_bag_set(n_dims=4, seed=31)
-        batched, sequential = train_both(bag_set, EQUIVALENT_SCHEMES[scheme_name]())
-        assert_bit_identical(batched, sequential)
+        together, alone = train_both(bag_set, EQUIVALENT_SCHEMES[scheme_name]())
+        assert_bit_identical(together, alone)
 
     @pytest.mark.parametrize("scheme_name", sorted(EQUIVALENT_SCHEMES))
     def test_single_positive_bag(self, scheme_name):
         bag_set = random_bag_set(
             seed=5, n_dims=3, n_positive=1, n_negative=2, max_instances=5
         )
-        batched, sequential = train_both(bag_set, EQUIVALENT_SCHEMES[scheme_name]())
-        assert_bit_identical(batched, sequential)
+        together, alone = train_both(bag_set, EQUIVALENT_SCHEMES[scheme_name]())
+        assert_bit_identical(together, alone)
 
     @pytest.mark.parametrize("scheme_name", sorted(EQUIVALENT_SCHEMES))
     def test_stride_thinned_starts(self, scheme_name):
         bag_set = random_bag_set(
             seed=6, n_dims=4, n_positive=4, n_negative=3, max_instances=7
         )
-        batched, sequential = train_both(
+        together, alone = train_both(
             bag_set, EQUIVALENT_SCHEMES[scheme_name](), stride=3
         )
-        assert_bit_identical(batched, sequential)
+        assert_bit_identical(together, alone)
 
     def test_start_bag_subset(self):
         bag_set = random_bag_set(
             seed=7, n_dims=3, n_positive=5, n_negative=2, max_instances=4
         )
-        batched, sequential = train_both(
+        together, alone = train_both(
             bag_set, InequalityScheme(beta=0.5, max_iterations=60), subset=2
         )
-        assert_bit_identical(batched, sequential)
+        assert_bit_identical(together, alone)
 
     def test_warm_start_extra_restart(self):
         bag_set = random_bag_set(
             seed=8, n_dims=3, n_positive=3, n_negative=2, max_instances=4
         )
         extra = (ExtraStart(t=np.zeros(3), w=np.full(3, 0.5)),)
-        batched, sequential = train_both(
+        together, alone = train_both(
             bag_set, InequalityScheme(beta=0.5, max_iterations=60), extra_starts=extra
         )
-        assert_bit_identical(batched, sequential)
-        assert batched.starts[-1].bag_id == "warm-start"
-        assert batched.starts[-1].instance_index == -1
+        assert_bit_identical(together, alone)
+        assert together.starts[-1].bag_id == "warm-start"
+        assert together.starts[-1].instance_index == -1
 
     def test_no_negative_bags(self):
         bag_set = random_bag_set(
             seed=9, n_dims=3, n_positive=3, n_negative=0, max_instances=4
         )
-        batched, sequential = train_both(
+        together, alone = train_both(
             bag_set, IdenticalWeightsScheme(max_iterations=60, backend="armijo")
         )
-        assert_bit_identical(batched, sequential)
+        assert_bit_identical(together, alone)
 
 
 class TestEMDDEngineEquivalence:
     @pytest.mark.parametrize("inner_scheme", ["identical", "inequality"])
     def test_bit_identical(self, inner_scheme):
-        # The M-steps run per restart in both engines, so EM-DD equivalence
-        # holds even on the default L-BFGS inner backend.
+        # Each restart's EM loop, run alone, must give the bits of its row
+        # in the lockstep run over all restarts.
         bag_set, _ = make_planted_bag_set(n_positive=4, seed=33)
-        results = []
-        for engine in ("batched", "sequential"):
-            trainer = EMDDTrainer(
-                EMDDConfig(inner_scheme=inner_scheme, engine=engine)
-            )
-            results.append(trainer.train(bag_set))
-        assert_bit_identical(results[0], results[1])
+        trainer = EMDDTrainer(EMDDConfig(inner_scheme=inner_scheme))
+        together = trainer.train(bag_set)
+        objective = BatchedDiverseDensityObjective(bag_set)
+        starts = select_restart_points(bag_set, subset=None, stride=1, seed=0)
+        assert together.n_starts == len(starts)
+        best = None
+        for start, record in zip(starts, together.starts):
+            (alone,), concept = trainer._train_lockstep(bag_set, objective, [start])
+            assert alone == record  # every field, value bitwise
+            if best is None or concept[0] < best[0]:
+                best = concept
+        assert together.concept.nll == best[0]
+        assert np.array_equal(together.concept.t, best[1])
+        assert np.array_equal(together.concept.w, best[2])
 
 
 class TestObjectiveSliceStability:
     def test_subset_rows_bitwise_equal(self):
-        # The foundation of engine equivalence: evaluating any subset of
+        # The foundation of lockstep training: evaluating any subset of
         # restarts must reproduce the corresponding rows of the full batch.
         bag_set = random_bag_set(
             seed=11, n_dims=5, n_positive=4, n_negative=3, max_instances=6
@@ -219,7 +268,6 @@ class TestRestartPruning:
         trainer = DiverseDensityTrainer(
             TrainerConfig(
                 scheme=IdenticalWeightsScheme(max_iterations=100, backend="armijo"),
-                engine="batched",
                 restart_prune_margin=margin,
             )
         )
@@ -251,23 +299,22 @@ class TestRestartPruning:
         total = lambda result: sum(r.n_iterations for r in result.starts)  # noqa: E731
         assert total(pruned) <= total(unpruned)
 
-    def test_sequential_engine_ignores_margin(self):
+    def test_per_start_schemes_ignore_margin(self):
+        # A scheme with no lockstep solver runs one start at a time, so
+        # there is no population to prune.
         bag_set, _ = make_planted_bag_set(n_positive=3, seed=36)
-        config = TrainerConfig(
-            scheme="identical", engine="sequential", restart_prune_margin=0.0
-        )
-        result = DiverseDensityTrainer(config).train(bag_set)
-        assert result.n_starts_pruned == 0
+        for scheme in (
+            InequalityScheme(beta=0.5, max_iterations=40, backend="slsqp"),
+            _ShiftedIdenticalScheme(),
+        ):
+            config = TrainerConfig(scheme=scheme, restart_prune_margin=0.0)
+            result = DiverseDensityTrainer(config).train(bag_set)
+            assert result.n_starts_pruned == 0
+            assert not any(record.pruned for record in result.starts)
 
     def test_invalid_margin_rejected(self):
         with pytest.raises(TrainingError):
             TrainerConfig(restart_prune_margin=-1.0)
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(TrainingError):
-            TrainerConfig(engine="warp-drive")
-        with pytest.raises(TrainingError):
-            EMDDConfig(engine="warp-drive")
 
 
 class TestLBFGSRestartPruning:
@@ -276,7 +323,6 @@ class TestLBFGSRestartPruning:
         trainer = DiverseDensityTrainer(
             TrainerConfig(
                 scheme=LBFGS_SCHEMES[scheme](100),
-                engine="batched",
                 restart_prune_margin=margin,
             )
         )
@@ -309,19 +355,51 @@ class TestLBFGSRestartPruning:
 
 
 class TestNonFiniteStart:
-    @pytest.mark.parametrize("scheme", sorted(LBFGS_SCHEMES))
-    @pytest.mark.parametrize("engine", ["batched", "sequential"])
-    def test_nonfinite_start_raises_optimization_error(self, scheme, engine):
-        # A NaN warm start poisons the objective at its starting point; both
-        # engines must refuse it with the typed error, not hand the line
-        # search a NaN.
+    @pytest.mark.parametrize("scheme", sorted(EQUIVALENT_SCHEMES))
+    @pytest.mark.parametrize("path", ["trainer", "alone"])
+    def test_nonfinite_start_raises_optimization_error(self, scheme, path):
+        # A NaN warm start poisons the objective at its starting point; the
+        # trainer and a per-start solve must both refuse it with the typed
+        # error, not hand the line search a NaN.
         bag_set, _ = make_planted_bag_set(n_positive=2, seed=41)
-        trainer = DiverseDensityTrainer(
-            TrainerConfig(scheme=LBFGS_SCHEMES[scheme](30), engine=engine)
-        )
-        poisoned = (ExtraStart(t=np.full(bag_set.n_dims, np.nan)),)
+        poisoned = ExtraStart(t=np.full(bag_set.n_dims, np.nan))
         with pytest.raises(OptimizationError, match="non-finite at the starting point"):
-            trainer.train(bag_set, extra_starts=poisoned)
+            if path == "trainer":
+                trainer = DiverseDensityTrainer(
+                    TrainerConfig(scheme=EQUIVALENT_SCHEMES[scheme]())
+                )
+                trainer.train(bag_set, extra_starts=(poisoned,))
+            else:
+                EQUIVALENT_SCHEMES[scheme]().optimize(
+                    DiverseDensityObjective(bag_set), poisoned.t
+                )
+
+
+class TestExtraStartValidation:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ExtraStart(t=np.zeros(4), w=-np.ones(4)),
+            ExtraStart(t=np.zeros(4), w=np.ones(3)),
+            ExtraStart(t=np.zeros(3)),
+            ExtraStart(t=np.zeros(5), w=np.ones(4)),
+        ],
+        ids=["negative-w", "short-w", "short-t", "long-t"],
+    )
+    @pytest.mark.parametrize(
+        "trainer",
+        [
+            lambda: DiverseDensityTrainer(TrainerConfig(scheme="identical")),
+            lambda: EMDDTrainer(EMDDConfig(inner_scheme="identical")),
+        ],
+        ids=["dd", "emdd"],
+    )
+    def test_malformed_extra_start_raises_training_error(self, trainer, extra):
+        # Both trainers share one restart policy, and it checks every extra
+        # start before any solver runs.
+        bag_set, _ = make_planted_bag_set(n_dims=4, n_positive=2, seed=42)
+        with pytest.raises(TrainingError, match="extra start"):
+            trainer().train(bag_set, extra_starts=(extra,))
 
 
 class TestTrainedConceptOwnsData:
@@ -331,7 +409,7 @@ class TestTrainedConceptOwnsData:
         # (R, d) restart matrix would keep the whole matrix alive.
         bag_set, _ = make_planted_bag_set(n_positive=3, seed=40)
         concept = DiverseDensityTrainer(
-            TrainerConfig(scheme=EQUIVALENT_SCHEMES[scheme](), engine="batched")
+            TrainerConfig(scheme=EQUIVALENT_SCHEMES[scheme]())
         ).train(bag_set).concept
         for array in (concept.t, concept.w):
             assert array.base is None
@@ -340,7 +418,7 @@ class TestTrainedConceptOwnsData:
 
 
 class _ShiftedIdenticalScheme(WeightScheme):
-    """A custom scheme the batched engine cannot recognise."""
+    """A custom scheme: it has no lockstep solver."""
 
     name = "custom-shifted"
 
@@ -354,48 +432,173 @@ class _ShiftedIdenticalScheme(WeightScheme):
 
 class TestCustomSchemeFallback:
     def test_batched_engine_falls_back_to_sequential(self):
+        # A custom scheme runs its own optimize on one start at a time.
         bag_set, _ = make_planted_bag_set(n_positive=2, seed=37)
-        scheme = _ShiftedIdenticalScheme()
-        batched = DiverseDensityTrainer(
-            TrainerConfig(scheme=scheme, engine="batched")
-        ).train(bag_set)
-        sequential = DiverseDensityTrainer(
-            TrainerConfig(scheme=scheme, engine="sequential")
-        ).train(bag_set)
-        assert_bit_identical(batched, sequential)
-        assert batched.concept.metadata["engine"] == "sequential"
+        together, alone = train_both(bag_set, _ShiftedIdenticalScheme())
+        assert_bit_identical(together, alone)
 
     @pytest.mark.parametrize(
-        ("scheme_factory", "engine"),
+        "scheme_factory",
         [
-            (lambda: IdenticalWeightsScheme(max_iterations=60, backend="lbfgs"), "batched"),
-            (lambda: OriginalDDScheme(max_iterations=60, backend="lbfgs"), "batched"),
-            (
-                lambda: InequalityScheme(beta=0.5, max_iterations=40, backend="slsqp"),
-                "sequential",
-            ),
+            lambda: IdenticalWeightsScheme(max_iterations=60, backend="lbfgs"),
+            lambda: OriginalDDScheme(max_iterations=60, backend="lbfgs"),
+            lambda: InequalityScheme(beta=0.5, max_iterations=40, backend="slsqp"),
         ],
         ids=["identical-lbfgs", "original-lbfgs", "inequality-slsqp"],
     )
-    def test_quasi_newton_backends_fall_back(self, scheme_factory, engine):
+    def test_quasi_newton_backends_fall_back(self, scheme_factory):
         # L-BFGS-B runs in lockstep through the same reverse-communication
         # solver as the per-start path, so it batches without changing a
-        # bit; SLSQP has no lockstep twin and keeps its sequential
+        # bit; SLSQP has no lockstep solver and keeps its per-start
         # trajectory instead of being silently swapped for another solver.
         bag_set, _ = make_planted_bag_set(n_positive=3, seed=38)
-        batched, sequential = train_both(bag_set, scheme_factory())
-        assert_bit_identical(batched, sequential)
-        assert batched.concept.metadata["engine"] == engine
+        together, alone = train_both(bag_set, scheme_factory())
+        assert_bit_identical(together, alone)
 
-    def test_armijo_backend_uses_batched_engine(self):
+    def test_armijo_backend_uses_batched_engine(self, monkeypatch):
+        # Every paper scheme on a backend with a lockstep solver trains
+        # without one per-start call.
         bag_set, _ = make_planted_bag_set(n_positive=2, seed=39)
-        result = DiverseDensityTrainer(
-            TrainerConfig(
-                scheme=IdenticalWeightsScheme(max_iterations=60, backend="armijo"),
-                engine="batched",
+
+        def per_start(*args, **kwargs):
+            raise AssertionError("the trainer fell back to the per-start path")
+
+        for factory in EQUIVALENT_SCHEMES.values():
+            scheme = factory()
+            monkeypatch.setattr(scheme, "optimize", per_start)
+            result = DiverseDensityTrainer(TrainerConfig(scheme=scheme)).train(bag_set)
+            assert result.n_starts == sum(
+                bag.n_instances for bag in bag_set.positive_bags
             )
-        ).train(bag_set)
-        assert result.concept.metadata["engine"] == "batched"
+
+
+# --------------------------------------------------------------------- #
+# Reference steps: each descent rule written out for one start           #
+# --------------------------------------------------------------------- #
+
+
+def reference_armijo(
+    fun, x0, max_iterations=200, gtol=1e-5, step0=1.0, rho=0.5, c=1e-4, max_backtracks=40
+) -> OptimizationOutcome:
+    """Steepest descent with backtracking line search, one start."""
+    x = np.array(x0, dtype=np.float64)
+    value, grad = fun(x)
+    step = step0
+    for iteration in range(max_iterations):
+        if np.abs(grad).max(initial=0.0) <= gtol:
+            return OptimizationOutcome(x, value, iteration, converged=True)
+        direction = -grad
+        slope = row_dots(grad[None], direction[None])[0]
+        trial = step
+        for _ in range(max_backtracks):
+            candidate = x + trial * direction
+            cand_value, cand_grad = fun(candidate)
+            if np.isfinite(cand_value) and cand_value <= value + c * trial * slope:
+                break
+            trial *= rho
+        else:
+            # No representable step improves the objective.
+            return OptimizationOutcome(x, value, iteration, converged=True)
+        x, value, grad = candidate, cand_value, cand_grad
+        step = min(step0, trial / rho)
+    return OptimizationOutcome(x, value, max_iterations, converged=False)
+
+
+def reference_projected(
+    fun, t0, w0, beta, max_iterations=200, gtol=1e-5, step0=0.5, rho=0.5, max_backtracks=40
+) -> ConstrainedOutcome:
+    """Projected gradient with backtracking on the projection arc, one start."""
+    t = np.array(t0, dtype=np.float64)
+    w = project_weights(w0, beta)
+    value, grad_t, grad_w = fun(t, w)
+    for iteration in range(max_iterations):
+        step = step0
+        for _ in range(max_backtracks):
+            cand_t = t - step * grad_t
+            cand_w = project_weights(w - step * grad_w, beta)
+            move_t, move_w = cand_t - t, cand_w - w
+            move_norm2 = (
+                row_dots(move_t[None], move_t[None])[0]
+                + row_dots(move_w[None], move_w[None])[0]
+            )
+            if move_norm2 <= gtol**2:
+                return ConstrainedOutcome(t, w, value, iteration, converged=True)
+            cand_value, cand_gt, cand_gw = fun(cand_t, cand_w)
+            if np.isfinite(cand_value) and cand_value <= value - 1e-4 / step * move_norm2:
+                break
+            step *= rho
+        else:
+            return ConstrainedOutcome(t, w, value, iteration, converged=True)
+        t, w, value, grad_t, grad_w = cand_t, cand_w, cand_value, cand_gt, cand_gw
+    return ConstrainedOutcome(t, w, value, max_iterations, converged=False)
+
+
+def armijo_rule(objective: DiverseDensityObjective, rule: str):
+    """A scheme's unconstrained field and its start map, by name."""
+    n = objective.n_dims
+    if rule == "unit":
+        return objective.value_and_grad_unit, lambda t0: t0
+    alpha = 25.0 if rule == "damped" else 1.0
+
+    def fun(z):
+        value, grad_t, grad_s = objective.value_and_grad_squared(
+            z[:n], z[n:], alpha=alpha
+        )
+        return value, np.concatenate([grad_t, grad_s])
+
+    return fun, lambda t0: np.concatenate([t0, np.ones(n)])
+
+
+def assert_same_outcome(solver, reference) -> None:
+    """Two per-start outcomes agree bit for bit, field by field."""
+    for field in reference.__dataclass_fields__:
+        left, right = getattr(solver, field), getattr(reference, field)
+        if isinstance(right, np.ndarray):
+            assert np.array_equal(left, right), field
+        else:
+            assert left == right, field
+
+
+class TestReferenceSteps:
+    """The one-start views of the lockstep solvers against the rules above."""
+
+    @pytest.mark.parametrize("rule", ["unit", "squared", "damped"])
+    @pytest.mark.parametrize("cap", [1, 7, 200])
+    def test_armijo_matches_reference(self, rule, cap):
+        bag_set = random_bag_set(seed=50, n_dims=4, n_positive=3, n_negative=2, max_instances=5)
+        objective = DiverseDensityObjective(bag_set)
+        fun, start = armijo_rule(objective, rule)
+        for bag in bag_set.positive_bags:
+            x0 = start(bag.instances[0])
+            solver = ArmijoGradientDescent(max_iterations=cap).minimize(fun, x0)
+            assert_same_outcome(solver, reference_armijo(fun, x0, max_iterations=cap))
+
+    def test_armijo_failed_line_search_matches_reference(self):
+        # A curvature no trial step survives: both give up at iteration 0.
+        def steep(x):
+            return float(1e6 * x @ x), 2e6 * x
+
+        x0 = np.array([1.0, -2.0])
+        solver = ArmijoGradientDescent(max_backtracks=3).minimize(steep, x0)
+        reference = reference_armijo(steep, x0, max_backtracks=3)
+        assert_same_outcome(solver, reference)
+        assert (solver.n_iterations, solver.converged) == (0, True)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("cap", [1, 7, 200])
+    def test_projected_matches_reference(self, beta, cap):
+        bag_set = random_bag_set(seed=51, n_dims=4, n_positive=3, n_negative=2, max_instances=5)
+        objective = DiverseDensityObjective(bag_set)
+        rng = np.random.default_rng(52)
+        for bag in bag_set.positive_bags:
+            t0, w0 = bag.instances[0], rng.uniform(0.0, 1.5, bag_set.n_dims)
+            solver = ProjectedGradientDescent(beta, max_iterations=cap).minimize(
+                objective.value_and_grad, t0, w0
+            )
+            reference = reference_projected(
+                objective.value_and_grad, t0, w0, beta, max_iterations=cap
+            )
+            assert_same_outcome(solver, reference)
 
 
 # --------------------------------------------------------------------- #
@@ -420,10 +623,10 @@ def test_property_engines_bit_identical(
     seed, n_dims, n_positive, n_negative, max_instances, stride, scheme_name
 ):
     bag_set = random_bag_set(seed, n_dims, n_positive, n_negative, max_instances)
-    batched, sequential = train_both(
+    together, alone = train_both(
         bag_set, EQUIVALENT_SCHEMES[scheme_name](), stride=stride
     )
-    assert_bit_identical(batched, sequential)
+    assert_bit_identical(together, alone)
 
 
 @settings(max_examples=25, deadline=None)
@@ -481,20 +684,19 @@ def scheme_fun(objective: DiverseDensityObjective, scheme: str):
 def test_property_lbfgs_engines_bit_identical(
     seed, n_dims, n_positive, n_negative, max_instances, max_iterations, n_extra, scheme
 ):
-    # Non-dyadic data (normal draws): every restart of the lockstep solver
-    # must match the per-start path bit for bit, and the per-start path the
-    # public scipy entry point.
+    # Non-dyadic data (normal draws): every restart of the lockstep run
+    # must match its solver run alone bit for bit, and that the public
+    # scipy entry point.
     bag_set = random_bag_set(seed, n_dims, n_positive, n_negative, max_instances)
     rng = np.random.default_rng(seed + 7)
     extra = tuple(
         ExtraStart(t=rng.normal(0.5, 1.5, n_dims), w=rng.uniform(0.2, 1.3, n_dims))
         for _ in range(n_extra)
     )
-    batched, sequential = train_both(
+    together, alone = train_both(
         bag_set, LBFGS_SCHEMES[scheme](max_iterations), extra_starts=extra
     )
-    assert_bit_identical(batched, sequential)
-    assert batched.concept.metadata["engine"] == "batched"
+    assert_bit_identical(together, alone)
 
     objective = DiverseDensityObjective(bag_set)
     fun, start = scheme_fun(objective, scheme)
@@ -504,8 +706,39 @@ def test_property_lbfgs_engines_bit_identical(
         fun, x0, jac=True, method="L-BFGS-B",
         options={"maxiter": max_iterations, "gtol": 1e-6},
     )
-    record = sequential.starts[0]
+    record = alone.starts[0]
     assert (record.bag_id, record.instance_index) == (bag.bag_id, 0)
     assert record.value == result.fun
     assert record.n_iterations == result.nit
     assert record.converged == (bool(result.success) or result.nit >= max_iterations)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_dims=st.integers(min_value=1, max_value=6),
+    n_negative=st.integers(min_value=0, max_value=3),
+    cap=st.integers(min_value=1, max_value=60),
+    rule=st.sampled_from(["unit", "squared", "damped", "projected"]),
+    beta=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_property_one_start_views_match_reference(seed, n_dims, n_negative, cap, rule, beta):
+    # The width-1 lockstep solvers must take the written-out rule's steps,
+    # bit for bit, on non-dyadic data.
+    bag_set = random_bag_set(seed, n_dims, 2, n_negative, 5)
+    objective = DiverseDensityObjective(bag_set)
+    rng = np.random.default_rng(seed + 3)
+    t0 = rng.normal(0.0, 2.0, n_dims)
+    if rule == "projected":
+        w0 = rng.uniform(0.0, 1.5, n_dims)
+        solver = ProjectedGradientDescent(beta, max_iterations=cap).minimize(
+            objective.value_and_grad, t0, w0
+        )
+        reference = reference_projected(
+            objective.value_and_grad, t0, w0, beta, max_iterations=cap
+        )
+    else:
+        fun, start = armijo_rule(objective, rule)
+        solver = ArmijoGradientDescent(max_iterations=cap).minimize(fun, start(t0))
+        reference = reference_armijo(fun, start(t0), max_iterations=cap)
+    assert_same_outcome(solver, reference)

@@ -2,7 +2,7 @@
 
 The batched objective keeps every positive and negative instance in one
 matrix and slices its distance tensor per side.  These properties pin what
-the training engines rely on: rows are restart-slice stable on both the
+lockstep training relies on: rows are restart-slice stable on both the
 general and the unit-weight path, the unit-weight path has the bits of
 ``value_and_grad(t, ones)``, and the column slices land on the right bags.
 Bag sets use non-dyadic (normal) draws and include sets without negative
@@ -71,7 +71,7 @@ def test_unit_path_matches_general_path_at_ones(problem):
     unit_values, unit_grad = objective.value_and_grad_unit(t)
     np.testing.assert_allclose(unit_values, values, rtol=1e-12)
     np.testing.assert_allclose(unit_grad, grad_t, rtol=1e-12)
-    # Both engines and the scipy oracle rely on the stronger, bitwise form.
+    # Lockstep training and the scipy oracle rely on the stronger, bitwise form.
     assert np.array_equal(unit_values, values)
     assert np.array_equal(unit_grad, grad_t)
 

@@ -431,6 +431,26 @@ class TestErrorMapping:
         status, payload = handle_safely(app, "nope", None)
         assert status == 400 and payload["error"] == "QueryError"
 
+    @pytest.mark.parametrize("engine", ["batched", "sequential"])
+    def test_engine_param_is_a_typed_400(self, app, tiny_scene_db, engine):
+        # Training has one engine: a fit or a session that asks for one by
+        # name is a bad request naming the parameter, not a server fault.
+        params = dict(_PARAMS, engine=engine)
+        ids = tiny_scene_db.ids_in_category("waterfall")
+        requests = {
+            "query": codec.encode_query(_query(tiny_scene_db, params=params)),
+            "feedback": codec.envelope(
+                "feedback",
+                {"params": params, "add_positive_ids": list(ids[:2]), "top_k": 5},
+            ),
+        }
+        for endpoint, payload in requests.items():
+            status, reply = handle_safely(app, endpoint, payload)
+            assert status == 400, endpoint
+            assert reply["error"] == "LearnerError"
+            assert "engine" in reply["message"]
+        assert len(app.sessions) == 0
+
     def test_error_payload_shape(self):
         payload = error_payload(CodecError("boom"))
         assert payload == {
