@@ -2,8 +2,9 @@
 
 Not a paper artefact.  The rank-index redesign gave the serving path a
 two-stage shape: per-bag envelope lower bounds prune bags that provably
-cannot enter the top ``k``, shards fan out over threads, and survivors are
-re-ranked exactly.  This bench builds a clustered synthetic corpus (the
+cannot enter the top ``k``, one best-first scan visits groups in
+ascending-bound order and stops at the first one the cutoff rules out,
+and survivors are re-ranked exactly.  This bench builds a clustered synthetic corpus (the
 regime the index exists for: a *selective* concept whose top-k concentrates
 in a small region of feature space), then races:
 
@@ -118,7 +119,7 @@ def test_sharded_rank_vs_exhaustive(report, bench_json, best_of):
 
     rows = [
         ["exhaustive Ranker", f"{exhaustive_s * 1e3:.2f}", "1.0x"],
-        [f"sharded ({index.n_shards} shards, threaded)",
+        ["sharded (one best-first scan)",
          f"{sharded_s * 1e3:.2f}", f"{speedup:.1f}x"],
         ["index build (one-off)", f"{build_s * 1e3:.2f}", "-"],
     ]
@@ -137,7 +138,6 @@ def test_sharded_rank_vs_exhaustive(report, bench_json, best_of):
         "n_instances": packed.n_instances,
         "n_dims": N_DIMS,
         "top_k": TOP_K,
-        "n_shards": index.n_shards,
         "index_build_seconds": build_s,
         "exhaustive_seconds": exhaustive_s,
         "sharded_seconds": sharded_s,
@@ -148,7 +148,7 @@ def test_sharded_rank_vs_exhaustive(report, bench_json, best_of):
     })
 
     # Below full scale both paths take microseconds and the index's
-    # bound-pass/threading overhead legitimately loses to the exhaustive
+    # bound-pass overhead legitimately loses to the exhaustive
     # kernel (the reason AUTO_SHARD_MIN_BAGS exists), so reduced-scale
     # runs only report the timing — the ordering-identity assertion above
     # is the correctness gate.

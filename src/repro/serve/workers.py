@@ -1017,7 +1017,7 @@ class WorkerDispatchApp:
     wire-concept ``rank`` requests over a large enough corpus scatter
     their shard ranges across *all* workers and gather one merged,
     bit-identical ranking (:class:`~repro.serve.scatter.ScatterRanker`)
-    instead of running the whole fan-out inside a single worker.
+    instead of running the whole scan inside a single worker.
 
     Args:
         pool: the worker pool to dispatch into.

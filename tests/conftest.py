@@ -6,40 +6,13 @@ scoped; everything in them is deterministic, so sharing is safe.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from unittest import mock
-
 import numpy as np
 import pytest
 
 from repro.bags.bag import Bag, BagSet
-from repro.core import sharding
 from repro.datasets.loader import quick_database
 from repro.imaging.features import FeatureConfig
 from repro.imaging.regions import region_family
-
-
-@pytest.fixture(scope="session")
-def scan_pool():
-    """``with scan_pool(width):`` runs shard scans on a pool of that width.
-
-    Swaps the process-wide shard-scan pool for a private
-    :class:`ThreadPoolExecutor` for the duration of the block, so a test
-    can vary the thread count without a ranker option.  Session scoped so
-    hypothesis tests may use it too.
-    """
-
-    @contextmanager
-    def substitute(width: int):
-        pool = ThreadPoolExecutor(max_workers=width)
-        try:
-            with mock.patch.object(sharding, "_shared_pool", lambda: pool):
-                yield pool
-        finally:
-            pool.shutdown(wait=True)
-
-    return substitute
 
 
 @pytest.fixture(scope="session")

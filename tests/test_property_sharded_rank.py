@@ -19,8 +19,10 @@ Dyadic grids hide rounding, so a second family of properties draws
 exact ties still occur) and requires bitwise-equal distances: the kernel
 is row-invariant, so :meth:`~repro.core.retrieval.PackedCorpus.min_distances_at`
 over any gathered subset equals the full pass, and the exhaustive, sharded
-(any partition, chunk size or thread count) and merged-fragment paths
-return identical results.
+(any partition, group size or chunk size, including chunks smaller than a
+group) and merged-fragment paths return identical results, as does every
+fragment over an unaligned range against the exhaustive ranking of just
+that range.
 
 Re-packing a corpus in clustered-centroid order
 (:meth:`~repro.core.retrieval.PackedCorpus.reordered_by_centroid`) must
@@ -28,6 +30,7 @@ never change a ranking either, and the permutation's id sequence must be
 identical for any ingestion order of the same bags.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -42,6 +45,7 @@ from repro.core.retrieval import (
     build_result,
     keep_mask,
     rank_by_loop,
+    rank_exhaustive,
     top_order,
 )
 from repro.core.sharding import ShardIndex, ShardedRanker, centroid_order
@@ -111,6 +115,7 @@ def test_sharded_matches_exhaustive_and_loop(data, packed):
         st.sampled_from([1, min(3, n_bags), n_bags, n_bags + 5, None])
     )
     n_shards = data.draw(st.sampled_from([1, 2, n_bags]))  # incl. 1 bag/shard
+    group_size = data.draw(st.sampled_from([1, 2, 3, 64]))
     chunk_bags = data.draw(st.sampled_from([1, 2, 1024]))
     exclude = data.draw(st.sets(st.sampled_from(packed.image_ids)))
     category_filter = data.draw(st.sampled_from([None, "a"]))
@@ -118,7 +123,9 @@ def test_sharded_matches_exhaustive_and_loop(data, packed):
     sharded = ShardedRanker(chunk_bags=chunk_bags).rank(
         concept, packed, top_k=top_k, exclude=exclude,
         category_filter=category_filter,
-        index=ShardIndex.build(packed, n_shards=n_shards),
+        index=ShardIndex.build(
+            packed, n_shards=n_shards, group_size=group_size
+        ),
     )
     exhaustive = Ranker(auto_shard=False).rank(
         concept, packed, top_k=top_k, exclude=exclude,
@@ -161,23 +168,23 @@ def test_lower_bounds_are_valid_and_exact_on_dyadic_grids(data, packed):
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), packed=corpora())
-def test_threaded_scan_is_deterministic(scan_pool, data, packed):
+def test_threaded_scan_is_deterministic(data, packed):
+    # Scans running at once on several caller threads answer exactly as
+    # one scan alone does.
     concept = data.draw(concepts_for(packed.n_dims))
     top_k = min(3, packed.n_bags)
-    index = ShardIndex.build(packed, n_shards=packed.n_bags)
-    with scan_pool(1):
-        reference = ShardedRanker().rank(
-            concept, packed, top_k=top_k, index=index
-        )
-    with scan_pool(4):
-        for _ in range(3):
-            threaded = ShardedRanker().rank(
+    index = ShardIndex.build(packed, n_shards=packed.n_bags, group_size=2)
+    reference = ShardedRanker().rank(concept, packed, top_k=top_k, index=index)
+    with ThreadPoolExecutor(max_workers=4) as callers:
+        answers = list(callers.map(
+            lambda _: ShardedRanker(chunk_bags=1).rank(
                 concept, packed, top_k=top_k, index=index
-            )
-            assert threaded.image_ids == reference.image_ids
-            np.testing.assert_array_equal(
-                threaded.distances, reference.distances
-            )
+            ),
+            range(8),
+        ))
+    for threaded in answers:
+        assert threaded.image_ids == reference.image_ids
+        np.testing.assert_array_equal(threaded.distances, reference.distances)
 
 
 def test_mutation_invalidates_the_cached_index():
@@ -341,7 +348,7 @@ def test_min_distances_at_is_bitwise_min_distances(data, packed):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), packed=normal_corpora())
-def test_every_rank_path_returns_identical_results(scan_pool, data, packed):
+def test_every_rank_path_returns_identical_results(data, packed):
     concept = data.draw(normal_concepts(packed))
     n_bags = packed.n_bags
     top_k = data.draw(
@@ -349,18 +356,20 @@ def test_every_rank_path_returns_identical_results(scan_pool, data, packed):
     )
     exclude = data.draw(st.sets(st.sampled_from(packed.image_ids)))
     category_filter = data.draw(st.sampled_from([None, "a"]))
-    threads = data.draw(st.sampled_from([1, 2, 4]))
+    group_size = data.draw(st.sampled_from([1, 2, 3, 5, 64]))
     query = dict(top_k=top_k, exclude=exclude, category_filter=category_filter)
 
     exhaustive = Ranker(auto_shard=False).rank(concept, packed, **query)
-    with scan_pool(threads):
-        for n_shards in sorted({1, 3, n_bags}):
-            index = ShardIndex.build(packed, n_shards=n_shards)
-            for chunk_bags in (1, 3, 1024):
-                sharded = ShardedRanker(chunk_bags=chunk_bags).rank(
-                    concept, packed, index=index, **query
-                )
-                assert_identical_results(sharded, exhaustive)
+    for n_shards in sorted({1, 3, n_bags}):
+        index = ShardIndex.build(
+            packed, n_shards=n_shards, group_size=group_size
+        )
+        # Chunks below, at and above the group size.
+        for chunk_bags in sorted({1, 3, group_size, 1024}):
+            sharded = ShardedRanker(chunk_bags=chunk_bags).rank(
+                concept, packed, index=index, **query
+            )
+            assert_identical_results(sharded, exhaustive)
 
     keep = keep_mask(packed, exclude, category_filter)
     total = int(np.count_nonzero(keep))
@@ -368,10 +377,11 @@ def test_every_rank_path_returns_identical_results(scan_pool, data, packed):
         cuts = sorted(
             {0, n_bags, *data.draw(st.lists(st.integers(0, n_bags), max_size=4))}
         )
+        index = ShardIndex.build(packed, group_size=group_size)
         fragments = [
-            ShardedRanker().fragment_candidates(
+            ShardedRanker(chunk_bags=1).fragment_candidates(
                 concept, packed, top_k=top_k, start=a, stop=b,
-                exclude=exclude, category_filter=category_filter,
+                exclude=exclude, category_filter=category_filter, index=index,
             )
             for a, b in zip(cuts, cuts[1:])
         ]
@@ -390,6 +400,43 @@ def test_every_rank_path_returns_identical_results(scan_pool, data, packed):
     ]
     loop = rank_by_loop(concept, survivors, exclude=exclude)
     assert exhaustive.image_ids == loop.image_ids[: len(exhaustive)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), packed=normal_corpora())
+def test_fragment_over_an_unaligned_range_is_that_range_exhaustively(
+    data, packed
+):
+    # A fragment's candidates, merged alone, are the exhaustive top-k of
+    # just its range: ranges cut groups anywhere, and chunks may be
+    # smaller than a group.
+    concept = data.draw(normal_concepts(packed))
+    n_bags = packed.n_bags
+    start = data.draw(st.integers(0, n_bags - 1))
+    stop = data.draw(st.integers(start + 1, n_bags))
+    group_size = data.draw(st.sampled_from([1, 2, 3, 4, 7]))
+    chunk_bags = data.draw(st.integers(1, group_size + 1))
+    top_k = data.draw(st.integers(1, n_bags))
+    category_filter = data.draw(st.sampled_from([None, "a"]))
+    keep = keep_mask(packed, (), category_filter)
+    keep[:start] = False
+    keep[stop:] = False
+    total = int(np.count_nonzero(keep))
+    positions, distances, _ = ShardedRanker(
+        chunk_bags=chunk_bags
+    ).fragment_candidates(
+        concept, packed, top_k=top_k, start=start, stop=stop,
+        category_filter=category_filter,
+        index=ShardIndex.build(packed, group_size=group_size),
+    )
+    ids = packed.id_array[positions]
+    merged = build_result(
+        ids, packed.category_array[positions], distances,
+        top_order(ids, distances, top_k), total,
+    )
+    assert_identical_results(
+        merged, rank_exhaustive(concept, packed, keep, top_k)
+    )
 
 
 def clustered_packed(n_bags=240, n_dims=6, seed=7, shuffle_seed=None):

@@ -118,6 +118,68 @@ class TestHttpRoundTrip:
         )
         assert len(ranking) == 4
 
+    def test_compact_json_round_trips_to_an_equal_object(
+        self, server, client, tiny_scene_db, monkeypatch
+    ):
+        # Replies and the client's request bodies carry no separator
+        # spaces, and each decodes to the object its sender encoded.
+        import http.client
+
+        import numpy as np
+
+        from repro.core.concept import LearnedConcept
+        from repro.serve import http as serve_http
+
+        def compact(raw: bytes) -> bool:
+            return raw == json.dumps(
+                json.loads(raw), separators=(",", ":")
+            ).encode("utf-8")
+
+        service = RetrievalService(tiny_scene_db)
+        packed = service.packed_database()
+        concept = LearnedConcept(
+            t=packed.instances[0], w=np.ones(packed.n_dims), nll=0.0
+        )
+        sent = []
+        real_request = serve_http.urlrequest.Request
+
+        def recording(url, data=None, **kwargs):
+            sent.append(data)
+            return real_request(url, data=data, **kwargs)
+
+        monkeypatch.setattr(serve_http.urlrequest, "Request", recording)
+        ranking = client.rank(concept=concept, top_k=50)
+        monkeypatch.undo()
+        (request_body,) = sent
+        assert compact(request_body)
+        assert json.loads(request_body)["concept"] == json.loads(
+            json.dumps(codec.encode_concept(concept))
+        )
+
+        payload = codec.envelope(
+            "rank", {"concept": codec.encode_concept(concept), "top_k": 50}
+        )
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=10
+        )
+        try:
+            connection.request(
+                "POST", "/v1/rank", body=json.dumps(payload),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            reply = response.read()
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert int(response.getheader("Content-Length")) == len(reply)
+        assert compact(reply)
+        in_process = ServiceApp(service).dispatch("rank", payload)
+        assert json.loads(reply) == json.loads(json.dumps(in_process))
+        decoded = codec.decode_ranking(json.loads(reply)["ranking"])
+        assert decoded.image_ids == ranking.image_ids
+        np.testing.assert_array_equal(decoded.distances, ranking.distances)
+
     def test_health_and_stats(self, client, tiny_scene_db):
         health = client.health()
         assert health["status"] == "ok"

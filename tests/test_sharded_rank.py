@@ -1,6 +1,5 @@
 """Unit tests for the sharded bound-pruned rank index (repro.core.sharding)."""
 
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +22,7 @@ from repro.core.sharding import (
     MAX_AUTO_SHARDS,
     ShardIndex,
     ShardedRanker,
-    _shared_pool,
+    envelope_bounds,
     shard_boundaries,
 )
 from repro.errors import DatabaseError
@@ -157,32 +156,30 @@ class TestShardIndex:
 class TestShardedRankerEquivalence:
     """Sharded output must be ordering-identical to Ranker and the loop."""
 
-    @pytest.mark.parametrize("n_shards,threads,chunk_bags", [
+    @pytest.mark.parametrize("n_shards,group_size,chunk_bags", [
         (1, 1, 1024), (4, 1, 16), (4, 3, 16), (7, 2, 1),
     ])
     def test_matches_exhaustive_and_loop(
-        self, scan_pool, n_shards, threads, chunk_bags
+        self, n_shards, group_size, chunk_bags
     ):
         packed = synthetic_packed()
-        index = ShardIndex.build(packed, n_shards=n_shards)
+        index = ShardIndex.build(
+            packed, n_shards=n_shards, group_size=group_size
+        )
         candidates = list(packed.candidates())
         sharded = ShardedRanker(chunk_bags=chunk_bags)
-        with scan_pool(threads):
-            for seed in range(3):
-                concept = seeded_concept(packed.n_dims, seed)
-                for top_k in (1, 10, packed.n_bags, packed.n_bags + 7, None):
-                    fast = sharded.rank(concept, packed, top_k=top_k,
-                                        index=index)
-                    slow = Ranker(auto_shard=False).rank(concept, packed,
-                                                         top_k=top_k)
-                    assert fast.image_ids == slow.image_ids
-                    assert fast.total_candidates == slow.total_candidates
-                    np.testing.assert_array_equal(
-                        fast.distances, slow.distances
-                    )
-                loop = rank_by_loop(concept, candidates)
-                top = sharded.rank(concept, packed, top_k=25, index=index)
-                assert top.image_ids == loop.image_ids[:25]
+        for seed in range(3):
+            concept = seeded_concept(packed.n_dims, seed)
+            for top_k in (1, 10, packed.n_bags, packed.n_bags + 7, None):
+                fast = sharded.rank(concept, packed, top_k=top_k, index=index)
+                slow = Ranker(auto_shard=False).rank(concept, packed,
+                                                     top_k=top_k)
+                assert fast.image_ids == slow.image_ids
+                assert fast.total_candidates == slow.total_candidates
+                np.testing.assert_array_equal(fast.distances, slow.distances)
+            loop = rank_by_loop(concept, candidates)
+            top = sharded.rank(concept, packed, top_k=25, index=index)
+            assert top.image_ids == loop.image_ids[:25]
 
     def test_exclude_and_category_filter(self):
         packed = synthetic_packed()
@@ -229,10 +226,8 @@ class TestShardedRankerEquivalence:
         slow = Ranker(auto_shard=False).rank(concept, packed, top_k=3)
         assert fast.image_ids == slow.image_ids == ("a-1", "a-9", "m-1")
 
-    @pytest.mark.parametrize("n_shards,threads", [(1, 1), (3, 2)])
-    def test_zero_threshold_cancellation_regime(
-        self, scan_pool, n_shards, threads
-    ):
+    @pytest.mark.parametrize("n_shards,group_size", [(1, 1), (3, 2)])
+    def test_zero_threshold_cancellation_regime(self, n_shards, group_size):
         # Regression (review of PR 5): relative slack alone gives the
         # cutoff zero width once the running kth-best distance is 0.  A
         # huge translation puts the expanded-form kernel deep in
@@ -254,11 +249,12 @@ class TestShardedRankerEquivalence:
         packed = PackedCorpus.from_candidates(candidates)
         concept = LearnedConcept(t=np.array([t]), w=np.array([1.0]), nll=0.0)
         assert packed.min_distances(concept)[0] == 0.0  # the clamped tie
-        with scan_pool(threads):
-            fast = ShardedRanker().rank(
-                concept, packed, top_k=2,
-                index=ShardIndex.build(packed, n_shards=n_shards),
-            )
+        fast = ShardedRanker().rank(
+            concept, packed, top_k=2,
+            index=ShardIndex.build(
+                packed, n_shards=n_shards, group_size=group_size
+            ),
+        )
         slow = Ranker(auto_shard=False).rank(concept, packed, top_k=2)
         assert fast.image_ids == slow.image_ids == ("aaa-extra", "zzz-000")
 
@@ -461,29 +457,19 @@ class TestServiceKnobs:
         assert AUTO_SHARD_MIN_BAGS >= 1024
 
 
-class TestScanPool:
-    def test_one_machine_sized_pool_serves_every_query(self):
-        pool = _shared_pool()
-        assert _shared_pool() is pool
-        assert sharding._POOL is pool
-        assert pool._max_workers == min(MAX_AUTO_SHARDS, os.cpu_count() or 2)
-
-    def test_concurrent_queries_share_one_lazily_built_pool(
-        self, monkeypatch
-    ):
-        # More querying threads than cores race to build the pool and then
-        # interleave their shard scans on it; every answer stays exact.
-        monkeypatch.setattr(sharding, "_POOL", None)
+class TestBestFirstScan:
+    def test_concurrent_queries_stay_exact(self):
+        # More querying threads than cores, switching as often as the
+        # interpreter allows, each running its own scan; every answer
+        # stays exact.
         packed = synthetic_packed(400, n_dims=4)
         index = ShardIndex.build(packed, n_shards=7)
         concepts = [seeded_concept(4, seed) for seed in range(6)]
         expected = [
             Ranker(auto_shard=False).rank(c, packed, top_k=5) for c in concepts
         ]
-        pools = set()
 
         def query(i):
-            pools.add(id(sharding._shared_pool()))
             c = i % len(concepts)
             got = ShardedRanker(chunk_bags=8).rank(
                 concepts[c], packed, top_k=5, index=index
@@ -499,27 +485,59 @@ class TestScanPool:
                 answers = list(clients.map(query, range(48), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-            if sharding._POOL is not None:
-                sharding._POOL.shutdown(wait=True)
         assert all(answers)
-        assert len(pools) == 1
 
-    def test_threaded_scans_use_the_shared_pool(self, monkeypatch):
-        packed = synthetic_packed(60)
-        index = ShardIndex.build(packed, n_shards=3)
-        calls = []
-        real = sharding._shared_pool
-
-        def counting():
-            calls.append(1)
-            return real()
-
-        monkeypatch.setattr(sharding, "_shared_pool", counting)
-        concept = seeded_concept(packed.n_dims)
-        ShardedRanker().rank(concept, packed, top_k=4, index=index)
-        assert calls == [1]
-        # A single-shard scan runs inline.
-        ShardedRanker().rank(
-            concept, packed, top_k=4, index=ShardIndex.build(packed, 1)
+    @pytest.mark.parametrize("chunk_bags", [1, 16, 1024])
+    def test_no_bag_bound_past_the_final_cutoff(self, monkeypatch, chunk_bags):
+        # Per-bag bounds are computed only for groups the running cutoff
+        # admits, and the sweep stops at the first group past it.  With
+        # at most one group per step that is exactly the groups within
+        # the final cutoff; a wider step may bound the rest of the step
+        # in which the cutoff reached its final value.
+        group = 16
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-10.0, 10.0, size=(20, 4))
+        packed = PackedCorpus.pack(
+            [f"img-{i:05d}" for i in range(2008)],
+            ["c"] * 2008,
+            # 20 tight clusters, ingested cluster by cluster, plus 8 edge
+            # bags past the last whole group.
+            [centers[i * 20 // 2008] + 0.1 * rng.normal(size=(3, 4))
+             for i in range(2008)],
         )
-        assert calls == [1]
+        index = ShardIndex.build(packed, group_size=group)
+        concept = LearnedConcept(
+            t=centers[7], w=rng.uniform(0.5, 1.0, 4), nll=0.0
+        )
+        top_k = 10
+        rows = []
+
+        def recording(lower, upper, c):
+            rows.append(lower.shape[0])
+            return envelope_bounds(lower, upper, c)
+
+        monkeypatch.setattr(sharding, "envelope_bounds", recording)
+        got = ShardedRanker(chunk_bags=chunk_bags).rank(
+            concept, packed, top_k=top_k, index=index
+        )
+        monkeypatch.undo()
+        want = Ranker(auto_shard=False).rank(concept, packed, top_k=top_k)
+        assert got.image_ids == want.image_ids
+        np.testing.assert_array_equal(got.distances, want.distances)
+
+        n_groups = packed.n_bags // group
+        assert rows[0] == n_groups  # one group-bound pass, then per-bag rows
+        cutoff = sharding._cutoff(
+            float(want.distances[-1]), index.prune_floor(concept)
+        )
+        group_bounds = envelope_bounds(
+            index.group_lower[:n_groups], index.group_upper[:n_groups],
+            concept,
+        )
+        admitted = int(np.count_nonzero(group_bounds <= cutoff))
+        edges = packed.n_bags - n_groups * group
+        step = max(1, chunk_bags // group)
+        assert sum(rows[1:]) <= edges + (admitted + step - 1) * group
+        if step == 1:
+            assert sum(rows[1:]) <= edges + admitted * group
+        assert admitted < n_groups // 4  # the scan really stopped early
